@@ -174,10 +174,26 @@ var profileRuns bool
 // -log-level is parsed; the discard default keeps helpers safe in tests.
 var log = slog.New(slog.DiscardHandler)
 
+// startFigure logs a figure's start and returns the call that logs, once
+// its simulations are done, how many worlds the figure recorded and how
+// many runs replayed one. Every figure shares recorded worlds across the
+// cells that differ only in routing (protocol, λ, ablation variant,
+// hysteresis) — through the result store with -cache, in memory without.
+func startFigure(figure string, simulations int) (done func()) {
+	log.Info("figure starting", "figure", figure, "simulations", simulations)
+	rec0, rep0 := experiment.TraceRecordings(), experiment.TraceReplays()
+	return func() {
+		log.Info("trace fast path", "figure", figure,
+			"recorded_worlds", experiment.TraceRecordings()-rec0,
+			"replayed_runs", experiment.TraceReplays()-rep0)
+	}
+}
+
 // reportTiming folds the timing blocks of every point in the series (each
 // point's mean already folds its seeds) and prints one phase breakdown for
-// the figure. Cached cells carry no timing, so a fully-cached figure
-// prints how much of it was served from disk instead.
+// the figure; its header counts the replayed runs, which book no mobility
+// or contact-detection time. Cached cells carry no timing, so a
+// fully-cached figure prints how much of it was served from disk instead.
 func reportTiming(title string, series []experiment.Series) {
 	if !profileRuns {
 		return
@@ -229,7 +245,7 @@ func figure2(base experiment.ScenarioSpec, counts []int, seeds int, csvPrefix st
 		protos[i] = string(p)
 	}
 	sw := experiment.SweepSpec{Base: base, Protocols: protos, Nodes: counts}
-	log.Info("figure starting", "figure", "2", "simulations", len(protos)*len(counts)*seeds)
+	done := startFigure("2", len(protos)*len(counts)*seeds)
 	results, err := experiment.RunSweep(context.Background(), sw, store)
 	if err != nil && results == nil {
 		log.Error("figure failed", "figure", "2", "err", err)
@@ -254,11 +270,7 @@ func figure2(base experiment.ScenarioSpec, counts []int, seeds int, csvPrefix st
 	if cached > 0 {
 		log.Info("cells served from cache", "figure", "2", "cached", cached, "total", len(results))
 	}
-	// The protocol axis shares one recorded world per (nodes, seed): with
-	// -cache, mobility simulates once and the other protocols replay.
-	if rec, rep := experiment.TraceRecordings(), experiment.TraceReplays(); rec > 0 || rep > 0 {
-		log.Info("trace fast path", "figure", "2", "recorded_worlds", rec, "replayed_runs", rep)
-	}
+	done()
 	emit("Figure 2 — protocol comparison (λ=10)", series, csvPrefix, "2")
 }
 
@@ -272,8 +284,9 @@ func figureLambda(base experiment.Scenario, p experiment.Protocol, title string,
 		s.Lambda = lambda
 		bases = append(bases, s)
 	}
-	log.Info("figure starting", "figure", title, "simulations", len(bases)*len(counts)*seeds)
+	done := startFigure(title, len(bases)*len(counts)*seeds)
 	series := experiment.NodeSweepMulti(bases, counts, seeds)
+	done()
 	for i, lambda := range lambdas {
 		series[i].Name = fmt.Sprintf("λ=%d", lambda)
 	}
@@ -292,8 +305,9 @@ func ablation(base experiment.Scenario, title string, ps []experiment.Protocol, 
 		s.Protocol = p
 		bases = append(bases, s)
 	}
-	log.Info("figure starting", "figure", title, "simulations", len(bases)*len(counts)*seeds)
+	done := startFigure(title, len(bases)*len(counts)*seeds)
 	series := experiment.NodeSweepMulti(bases, counts, seeds)
+	done()
 	emit(title, series, csvPrefix, "_"+string(ps[len(ps)-1]))
 }
 
@@ -301,10 +315,13 @@ func ablation(base experiment.Scenario, title string, ps []experiment.Protocol, 
 // middle node count.
 func hysteresis(base experiment.Scenario, counts []int, seeds int, csvPrefix string) {
 	n := counts[len(counts)/2]
+	hysteresis := []float64{0, 30, 60, 120, 300}
+	done := startFigure("a3", len(hysteresis)*seeds)
 	var series []experiment.Series
-	se := experiment.Sweep1D("EER", withNodes(base, n), []float64{0, 30, 60, 120, 300}, func(s *experiment.Scenario, v float64) {
+	se := experiment.Sweep1D("EER", withNodes(base, n), hysteresis, func(s *experiment.Scenario, v float64) {
 		s.ForwardHysteresis = v
 	}, seeds)
+	done()
 	series = append(series, se)
 	for _, m := range experiment.PaperMetrics {
 		experiment.RenderTable(os.Stdout, fmt.Sprintf("Ablation A3 — forwarding hysteresis (n=%d)", n), "hysteresis (s)", series, m)

@@ -163,7 +163,9 @@ func QuickScenario() Scenario { return experiment.Quick() }
 func RunSeeds(s Scenario, seeds []int64) []Summary { return experiment.RunSeeds(s, seeds) }
 
 // RunBatch executes arbitrary scenarios through the bounded worker pool,
-// returning summaries in input order.
+// returning summaries in input order. Scenarios that differ only in
+// routing share one in-memory recording of their world; summaries are
+// identical to running each scenario on its own.
 func RunBatch(ss []Scenario) []Summary { return experiment.RunBatch(ss) }
 
 // RunAveraged executes a scenario over n seeds and returns the mean

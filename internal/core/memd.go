@@ -23,8 +23,7 @@ import (
 // recorded contact graph, which is what city-scale worlds use.
 type MEMD struct {
 	size    int
-	md      [][]float64 // row headers handed to Dijkstra
-	selfRow []float64   // scratch for the holder's Theorem-2 row
+	selfRow []float64 // scratch for the holder's Theorem-2 row
 	dist    []float64
 	scratch []int32 // Dijkstra unvisited-list scratch
 
@@ -36,7 +35,6 @@ type MEMD struct {
 // NewMEMD returns a calculator for matrices of the given size.
 func NewMEMD(size int) *MEMD {
 	m := &MEMD{size: size}
-	m.md = make([][]float64, size)
 	m.selfRow = make([]float64, size)
 	m.dist = make([]float64, size)
 	m.scratch = make([]int32, size+1)
@@ -70,14 +68,16 @@ func (m *MEMD) Compute(self int, t float64, h *History, mi *MeetingMatrix) {
 	}
 	// Other rows: the MI averages stand in for EMDs the node cannot
 	// observe (the I_jk substitution of Section III-B.2). Dijkstra only
-	// reads the matrix, so the MI rows are shared by header instead of
-	// copied — the former n-squared copy per contact dominated MaxProp-
+	// reads the matrix, so it is handed the MI rows themselves instead of
+	// a copy — the former n-squared copy per contact dominated MaxProp-
 	// and EER-style computations at scale.
-	for i := range m.md {
-		m.md[i] = mi.rows[i]
-	}
-	m.md[selfIdx] = row
-	graph.DenseDijkstraScratch(m.md, selfIdx, m.dist, m.scratch)
+	rows := mi.rows
+	graph.DenseDijkstra(func(u int) []float64 {
+		if u == selfIdx {
+			return row
+		}
+		return rows[u]
+	}, graph.Weights, selfIdx, m.dist, m.scratch)
 	m.index = mi.idx
 	m.valid = true
 }

@@ -25,10 +25,19 @@ import (
 // of scheduling.
 
 // RunBatch executes every scenario through the shared bounded worker pool
-// and returns their summaries in input order.
+// and returns their summaries in input order. Scenarios whose Trace is
+// unset and that share a world with another scenario of the batch replay
+// one in-memory recording of it (see tracePlan); every other scenario
+// runs live, exactly as Scenario.Run. Summaries are identical either way.
 func RunBatch(ss []Scenario) []metrics.Summary {
 	out := make([]metrics.Summary, len(ss))
+	plan := newTracePlan(ss, func(i int) bool { return ss[i].Trace == "" }, nil)
+	plan.record(nil) // cannot fail without a context or a store
 	forEachJob(len(ss), func(i int) {
+		if sum, _, ok := plan.replayShared(nil, i, ss[i], nil); ok {
+			out[i] = sum
+			return
+		}
 		out[i] = ss[i].Run()
 	})
 	return out

@@ -122,7 +122,9 @@ type Scenario struct {
 	// result-cache canonical form (json:"-") — live and replayed results
 	// share one content address. Only the store-threaded spec path
 	// (RunSpecStore and the sweep/daemon layers above it) acts on it;
-	// Scenario.Run and Build always run live.
+	// Scenario.Run and Build always run live. RunBatch and storeless
+	// sweeps replay a world shared in memory only for cells that leave
+	// it unset (see tracePlan).
 	Trace string `json:"-"`
 
 	// Profile attaches an engine phase profiler to the run: the returned

@@ -651,15 +651,17 @@ func RunSpecsContext(ctx context.Context, sps []ScenarioSpec) ([][]metrics.Summa
 }
 
 // RunSpecsStore is RunSpecsContext with a result store attached: each
-// spec's trace mode runs against it (see RunSpecStore). The sweep path
-// uses it so protocol-only cells replay one recorded world per seed.
+// spec's trace mode runs against it (see RunSpecStore). Every (spec,
+// seed) cell whose spec leaves Trace unset goes through one trace plan,
+// so protocol-only cells replay one recorded world per seed — from the
+// store, or from memory when store is nil (see tracePlan).
 func RunSpecsStore(ctx context.Context, sps []ScenarioSpec, store *resultcache.Store) ([][]metrics.Summary, error) {
 	type cellJob struct {
-		scenario Scenario
-		spec     int
-		seed     int
+		spec int
+		seed int
 	}
 	var jobs []cellJob
+	var cells []Scenario
 	out := make([][]metrics.Summary, len(sps))
 	for si, sp := range sps {
 		s, err := sp.Scenario()
@@ -671,15 +673,20 @@ func RunSpecsStore(ctx context.Context, sps []ScenarioSpec, store *resultcache.S
 		for i, seed := range seeds {
 			sc := s
 			sc.Seed = seed
-			jobs = append(jobs, cellJob{scenario: sc, spec: si, seed: i})
+			cells = append(cells, sc)
+			jobs = append(jobs, cellJob{spec: si, seed: i})
 		}
+	}
+	plan := newTracePlan(cells, func(i int) bool { return sps[jobs[i].spec].Trace == nil }, store)
+	if err := plan.record(ctx); err != nil {
+		return nil, err
 	}
 	errs := make([]error, len(jobs))
 	forEachJobCtx(ctx, len(jobs), func(i int) {
 		j := jobs[i]
-		sum, done, err := runScenario(ctx, j.scenario, store, nil)
+		sum, done, err := plan.run(ctx, i, cells[i], nil)
 		if err != nil {
-			errs[i] = fmt.Errorf("spec %d seed %d: %w", j.spec, j.scenario.Seed, err)
+			errs[i] = fmt.Errorf("spec %d seed %d: %w", j.spec, cells[i].Seed, err)
 			return
 		}
 		if done {

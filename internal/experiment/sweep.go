@@ -245,15 +245,11 @@ func RunSweep(ctx context.Context, sw SweepSpec, store *resultcache.Store) ([]Ce
 			specs[k] = cells[i].Spec
 		}
 		// Trace fast path: cells that share a recorded world (protocol/
-		// routing-only axes) record the base world's contact script once
-		// per seed and replay it for every cell, instead of re-simulating
-		// mobility per cell. Trace never enters the cache key, so the
-		// results are served and stored exactly as live ones.
-		if recs := applyTracePlan(specs, store); len(recs) > 0 {
-			if err := recordTraces(ctx, recs, store); err != nil {
-				return nil, err
-			}
-		}
+		// routing-only axes) record the world's contact script once per
+		// seed — into the store, or in memory without one — and replay it
+		// for every cell instead of re-simulating mobility per cell (see
+		// tracePlan). Trace never enters the cache key, so the results
+		// are served and stored exactly as live ones.
 		perSpec, err := RunSpecsStore(ctx, specs, store)
 		if err != nil {
 			return nil, err

@@ -5,7 +5,9 @@ package experiment
 // scripts are persisted as blobs in the shared result store, and the
 // store-threaded run path (RunSpecStore, sweeps, dtnd jobs) dispatches on
 // Scenario.Trace to run replayed worlds that skip mobility and contact
-// detection entirely. Replay is sound because the contact sequence
+// detection entirely. Batches without a store (RunBatch, storeless
+// sweeps) share worlds through the same trace plan, holding the recorded
+// scripts in memory for the call. Replay is sound because the contact sequence
 // depends only on the world fields below — routers, traffic, buffers and
 // gossip never read positions or perturb movers — and the engine is
 // bit-deterministic, so a replayed run's summary is identical to the
@@ -223,65 +225,141 @@ func pollEvery(s Scenario) int {
 	return every
 }
 
-// applyTracePlan inspects a sweep's to-simulate cell specs, groups them
-// by shared recorded world (traceGroupKey — the world-defining fields
-// with the seed zeroed), and marks every cell of a shareable group with
-// Trace="auto" in place. A group is shareable when two or more cells
-// share one world (routing/protocol-only axes) or when its traces are
-// already recorded. It returns the scenarios to pre-record: one per
-// (shared world, seed) the store is missing. Cells whose spec sets Trace
-// explicitly are left untouched — the user's choice wins.
-func applyTracePlan(specs []ScenarioSpec, store *resultcache.Store) []Scenario {
-	if store == nil {
-		return nil
-	}
-	groups := map[string][]int{}
-	scens := make([]Scenario, len(specs))
-	for i, sp := range specs {
-		if sp.Trace != nil {
-			continue
-		}
-		s, err := sp.Scenario()
-		if err != nil {
-			continue // Cells() validated already; be safe anyway
-		}
-		scens[i] = s
-		g := traceGroupKey(s)
-		groups[g] = append(groups[g], i)
-	}
-	var recs []Scenario
-	for _, idxs := range groups {
-		s0 := scens[idxs[0]]
-		var missing []Scenario
-		for _, seed := range specs[idxs[0]].SeedList() {
-			sc := s0
-			sc.Seed = seed
-			if !store.HasTrace(TraceKey(sc)) {
-				missing = append(missing, sc)
-			}
-		}
-		if len(idxs) < 2 && len(missing) > 0 {
-			continue // a lone live cell gains nothing from recording first
-		}
-		recs = append(recs, missing...)
-		for _, i := range idxs {
-			specs[i].Trace = ptr("auto")
-		}
-	}
-	return recs
+// tracePlan is the record-once/replay schedule of one pool call. It
+// groups the call's cells whose Trace is unset by TraceKey; a world is
+// shared when two or more cells run it (routing/protocol-only
+// differences). Shared worlds are recorded once, bare, on the pool before
+// any cell runs, and their cells replay the recording. Scripts live in
+// one of two tiers:
+//
+//   - With a result store, scripts are content-addressed blobs on disk: a
+//     shared world is recorded only when the store lacks it, a lone cell
+//     whose world is already stored joins the plan too, and planned cells
+//     run in Trace="auto" mode against the store (runScenario), which
+//     also covers a recording that failed.
+//   - Without one (RunBatch, storeless sweeps), scripts are decoded events
+//     held in memory for the call: concurrent cells share one read-only
+//     event slice, and it is dropped when its last cell finishes.
+//
+// Cells outside the plan — singleton worlds and cells whose Trace was set
+// explicitly — run exactly as they would without it.
+type tracePlan struct {
+	store  *resultcache.Store
+	cells  []*sharedWorld // per cell: its planned world, or nil
+	worlds []*sharedWorld // planned worlds, in first-appearance order
 }
 
-// recordTraces pre-records the given worlds on the shared pool. Failures
-// of individual recordings are tolerated — the affected cells fall back
-// to live runs (recording again, best effort) — but cancellation aborts.
-func recordTraces(ctx context.Context, scens []Scenario, store *resultcache.Store) error {
-	forEachJobCtx(ctx, len(scens), func(i int) {
-		_, _, _ = RecordTrace(ctx, scens[i], store)
+// sharedWorld is one planned world: the scenario its recording runs,
+// whether that recording is still to be made, and — in the in-memory
+// tier — the recorded events and how many cells have yet to replay them.
+type sharedWorld struct {
+	world  Scenario
+	record bool
+	events []network.ScriptEvent
+	refs   atomic.Int64
+}
+
+// newTracePlan plans cells for one pool call against store (nil selects
+// the in-memory tier). unset(i) reports whether cell i left its trace mode
+// to the plan; cells that chose one themselves are never planned.
+func newTracePlan(cells []Scenario, unset func(i int) bool, store *resultcache.Store) *tracePlan {
+	p := &tracePlan{store: store, cells: make([]*sharedWorld, len(cells))}
+	keys := make([]string, len(cells))
+	count := map[string]int{}
+	for i, s := range cells {
+		if unset(i) {
+			keys[i] = TraceKey(s)
+			count[keys[i]]++
+		}
+	}
+	byKey := map[string]*sharedWorld{}
+	for i, k := range keys {
+		if k == "" {
+			continue
+		}
+		w, seen := byKey[k]
+		if !seen {
+			// A lone cell gains nothing from recording first; it joins
+			// the plan only when its world is already stored.
+			stored := store != nil && store.HasTrace(k)
+			if count[k] >= 2 || stored {
+				w = &sharedWorld{world: cells[i], record: !stored}
+				p.worlds = append(p.worlds, w)
+			}
+			byKey[k] = w
+		}
+		if w != nil {
+			w.refs.Add(1)
+			p.cells[i] = w
+		}
+	}
+	return p
+}
+
+// record makes the plan's missing recordings on the shared pool, into the
+// store or into memory. A failed store write is tolerated — the world's
+// cells fall back to auto mode's live run (recording again, best effort)
+// — but cancellation aborts.
+func (p *tracePlan) record(ctx context.Context) error {
+	var todo []*sharedWorld
+	for _, w := range p.worlds {
+		if w.record {
+			todo = append(todo, w)
+		}
+	}
+	forEachJobCtx(ctx, len(todo), func(i int) {
+		sc, _, err := RecordTrace(ctx, todo[i].world, p.store)
+		if err == nil && p.store == nil {
+			todo[i].events = scriptEvents(sc)
+		}
 	})
 	if ctx != nil {
 		return ctx.Err()
 	}
 	return nil
+}
+
+// replayShared runs cell i from its world's in-memory script. ok is false
+// when the cell is not served by the in-memory tier (not planned, or a
+// store is attached); the caller then runs it its own way.
+func (p *tracePlan) replayShared(ctx context.Context, i int, s Scenario, hook func(t float64)) (sum metrics.Summary, done, ok bool) {
+	w := p.cells[i]
+	if w == nil || w.events == nil {
+		return sum, false, false
+	}
+	sum, done = replayRun(ctx, s, w.events, hook)
+	if w.refs.Add(-1) == 0 {
+		w.events = nil // the last cell is done: release the script
+	}
+	return sum, done, true
+}
+
+// run executes cell i through the plan: in-memory replay, or the store
+// dispatch of runScenario with planned cells in auto mode.
+func (p *tracePlan) run(ctx context.Context, i int, s Scenario, hook func(t float64)) (metrics.Summary, bool, error) {
+	if sum, done, ok := p.replayShared(ctx, i, s, hook); ok {
+		return sum, done, nil
+	}
+	if p.store != nil && p.cells[i] != nil {
+		s.Trace = "auto"
+	}
+	return runScenario(ctx, s, p.store, hook)
+}
+
+// replayRun runs the scenario's world driven by recorded contact events.
+// It returns done=false when ctx cancelled the run mid-way.
+func replayRun(ctx context.Context, s Scenario, events []network.ScriptEvent, hook func(t float64)) (sum metrics.Summary, done bool) {
+	w, runner := s.BuildReplay(events)
+	prof := s.attachProfiler(w, runner)
+	if runner.RunContext(ctx, s.Duration, pollEvery(s), hook) != nil {
+		return sum, false
+	}
+	traceReplays.Add(1)
+	sum = w.Metrics.Summary()
+	if sum.Timing = prof.Timing(); sum.Timing != nil {
+		sum.Timing.Replayed = 1
+	}
+	return sum, true
 }
 
 // runScenario executes one resolved (scenario, seed) through the trace
@@ -315,15 +393,8 @@ func runScenario(ctx context.Context, s Scenario, store *resultcache.Store, hook
 	}
 
 	if script != nil {
-		w, runner := s.BuildReplay(scriptEvents(script))
-		prof := s.attachProfiler(w, runner)
-		if runner.RunContext(ctx, s.Duration, pollEvery(s), hook) != nil {
-			return sum, false, nil // cancelled mid-run
-		}
-		traceReplays.Add(1)
-		sum = w.Metrics.Summary()
-		sum.Timing = prof.Timing()
-		return sum, true, nil
+		sum, done = replayRun(ctx, s, scriptEvents(script), hook)
+		return sum, done, nil
 	}
 
 	// Live run; in record (or auto-with-no-script) mode the protocol run

@@ -291,8 +291,10 @@ func TestTraceKeyGrouping(t *testing.T) {
 // protocol-only sweep over a shared store must simulate mobility exactly
 // once per seed (the pre-recordings), serve every protocol cell by replay
 // — zero live per-protocol worlds — and return cell summaries
-// bit-identical to the same sweep run entirely live. Run under -race in
-// CI, the concurrent pre-record and replay stages must also be clean.
+// bit-identical to the same sweep run without a store (which
+// TestRunSweepStorelessParity pins to per-cell live runs). Run under
+// -race in CI, the concurrent pre-record and replay stages must also be
+// clean.
 func TestSweepTraceFastPath(t *testing.T) {
 	seeds := []int64{1, 2}
 	sw := SweepSpec{
@@ -380,9 +382,10 @@ func traceOnlyStore(t testing.TB, src *resultcache.Store, sw SweepSpec) *resultc
 	return dst
 }
 
-// TestLoneCellStaysLive pins applyTracePlan's economics: a sweep whose
-// cells all live in different trace groups (a nodes axis) gains nothing
-// from recording first, so no cell is marked and nothing is pre-recorded.
+// TestLoneCellStaysLive pins the trace plan's economics: a sweep whose
+// cells all live in different worlds (a nodes axis) gains nothing from
+// recording first, so no cell is planned and nothing is pre-recorded — in
+// either script tier.
 func TestLoneCellStaysLive(t *testing.T) {
 	sw := SweepSpec{
 		Base: ScenarioSpec{
@@ -392,21 +395,28 @@ func TestLoneCellStaysLive(t *testing.T) {
 		},
 		Nodes: []int{20, 30},
 	}
-	specs := make([]ScenarioSpec, 0, 2)
 	cells, err := sw.Cells()
 	if err != nil {
 		t.Fatal(err)
 	}
+	scens := make([]Scenario, 0, len(cells))
 	for _, c := range cells {
-		specs = append(specs, c.Spec)
+		s, err := c.Spec.Scenario()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scens = append(scens, s)
 	}
-	recs := applyTracePlan(specs, openStore(t))
-	if len(recs) != 0 {
-		t.Errorf("nodes-axis sweep scheduled %d pre-recordings, want 0", len(recs))
-	}
-	for i, sp := range specs {
-		if sp.Trace != nil {
-			t.Errorf("cell %d marked %q, want untouched", i, *sp.Trace)
+	all := func(int) bool { return true }
+	for _, store := range []*resultcache.Store{openStore(t), nil} {
+		plan := newTracePlan(scens, all, store)
+		if len(plan.worlds) != 0 {
+			t.Errorf("store=%v: nodes-axis sweep planned %d worlds, want 0", store != nil, len(plan.worlds))
+		}
+		for i, w := range plan.cells {
+			if w != nil {
+				t.Errorf("store=%v: cell %d planned, want untouched", store != nil, i)
+			}
 		}
 	}
 }

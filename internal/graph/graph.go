@@ -205,23 +205,35 @@ func (c *PathCache) Path(src, dst int) []int {
 	return p
 }
 
-// DenseDijkstra runs Dijkstra on a dense n×n weight matrix w, where
-// w[i][j] is the direct edge weight from i to j (+Inf or <=0 off-diagonal
-// meaning "no edge"; the diagonal is ignored). It writes shortest-path
-// distances from src into dist, which must have length n. This is the
-// MEMD computation of Theorem 3: array-based O(n²) beats a heap on a dense
-// matrix.
-func DenseDijkstra(w [][]float64, src int, dist []float64) {
-	DenseDijkstraScratch(w, src, dist, make([]int32, len(w)+1))
-}
+// Entries says how DenseDijkstra reads row entries as edges.
+type Entries int
 
-// DenseDijkstraScratch is DenseDijkstra with caller-provided scratch of
-// length n+1, so per-contact callers (MEMD) allocate nothing per run.
-func DenseDijkstraScratch(w [][]float64, src int, dist []float64, next []int32) {
-	n := len(w)
-	if len(dist) != n {
-		panic("graph: DenseDijkstra dist length mismatch")
-	}
+const (
+	// Weights: an entry w in (0, +Inf) is an edge of weight w; <= 0 or
+	// +Inf means "no edge". MEMD's delay matrix.
+	Weights Entries = iota
+	// Probs: an entry p in (0, +Inf) is a link probability, an edge of
+	// weight max(1−p, MinProbCost); p <= 0 means "no edge". MaxProp's
+	// Σ(1−p) path cost, read straight from its probability rows.
+	Probs
+)
+
+// MinProbCost floors a Probs edge's weight, so a certain link (p >= 1)
+// still costs something and path costs stay strictly increasing.
+const MinProbCost = 1e-9
+
+// DenseDijkstra runs Dijkstra on a dense graph over vertices 0..n-1,
+// n = len(dist), and writes shortest-path distances from src into dist.
+// row(u) returns u's out-edge entries, a slice of length n read as
+// entries says (the diagonal is ignored). It is called once per settled
+// vertex and its slice is read only until the next call, so callers hand
+// over the rows they already hold — MEMD's MI rows, MaxProp's probability
+// rows — instead of materialising an n×n weight matrix. next is
+// caller-provided scratch of length n+1, so per-contact callers allocate
+// nothing per run. This is the MEMD computation of Theorem 3: array-based
+// O(n²) beats a heap on a dense matrix.
+func DenseDijkstra(row func(u int) []float64, entries Entries, src int, dist []float64, next []int32) {
+	n := len(dist)
 	if len(next) != n+1 {
 		panic("graph: DenseDijkstra scratch length mismatch")
 	}
@@ -249,15 +261,21 @@ func DenseDijkstraScratch(w [][]float64, src int, dist []float64, next []int32) 
 	next[prev] = -1
 	u, best := src, 0.0
 	for u >= 0 {
-		row := w[u]
+		w := row(u)
 		nu, nbest := int32(-1), inf
 		bp := int32(n) // predecessor of nu in the list
 		pv := int32(n)
 		for v := next[n]; v >= 0; v = next[v] {
-			// Relax v via u. ew <= 0 or +Inf means "no edge"; nd is then
-			// +Inf or worse and never improves dist[v], but skipping it
-			// avoids the float work on sparse rows.
-			if ew := row[v]; ew > 0 && ew < inf {
+			// Relax v via u. Entries <= 0 or +Inf are "no edge"; the
+			// weight would be +Inf or worse and never improve dist[v],
+			// but skipping them avoids the float work on sparse rows.
+			if x := w[v]; x > 0 && x < inf {
+				ew := x
+				if entries == Probs {
+					if ew = 1 - x; ew < MinProbCost {
+						ew = MinProbCost
+					}
+				}
 				if nd := best + ew; nd < dist[v] {
 					dist[v] = nd
 				}

@@ -144,7 +144,7 @@ func TestDenseDijkstraMatchesHeap(t *testing.T) {
 		src := rng.Intn(n)
 		want, _ := g.Dijkstra(src)
 		dist := make([]float64, n)
-		DenseDijkstra(w, src, dist)
+		DenseDijkstra(matrixRows(w), Weights, src, dist, make([]int32, n+1))
 		for v := 0; v < n; v++ {
 			if math.IsInf(want[v], 1) != math.IsInf(dist[v], 1) {
 				t.Fatalf("trial %d: reachability mismatch at %d", trial, v)
@@ -165,7 +165,7 @@ func TestDenseDijkstraAsymmetric(t *testing.T) {
 		{math.Inf(1), 2, 0},
 	}
 	dist := make([]float64, 3)
-	DenseDijkstra(w, 0, dist)
+	DenseDijkstra(matrixRows(w), Weights, 0, dist, make([]int32, 4))
 	if dist[1] != 1 || dist[2] != 3 {
 		t.Errorf("dist = %v, want [0 1 3]", dist)
 	}
@@ -177,5 +177,10 @@ func TestDenseDijkstraLengthMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	DenseDijkstra([][]float64{{0}}, 0, make([]float64, 2))
+	DenseDijkstra(matrixRows([][]float64{{0}, {0}}), Weights, 0, make([]float64, 2), make([]int32, 2))
+}
+
+// matrixRows is the row accessor of a materialised weight matrix.
+func matrixRows(w [][]float64) func(u int) []float64 {
+	return func(u int) []float64 { return w[u] }
 }

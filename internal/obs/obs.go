@@ -198,6 +198,11 @@ type Timing struct {
 	Ticks   int64   `json:"ticks"`   // engine ticks across those runs
 	Seconds float64 `json:"seconds"` // total measured phase time
 
+	// Replayed counts the Runs that replayed a recorded contact script:
+	// they book no mobility, rebucket, scan or pair time, so a small
+	// mobility share next to a large one means replay, not a fast engine.
+	Replayed int `json:"replayed,omitempty"`
+
 	// Phases holds every phase in enum order, zeros included, so merged
 	// blocks align by index and reports are shape-stable.
 	Phases []PhaseTiming `json:"phases"`
@@ -225,6 +230,7 @@ func MergeTiming(a, b *Timing) *Timing {
 			continue
 		}
 		out.Runs += t.Runs
+		out.Replayed += t.Replayed
 		out.Ticks += t.Ticks
 		out.Seconds += t.Seconds
 		out.ExchangeSeconds += t.ExchangeSeconds
@@ -276,7 +282,11 @@ func (t *Timing) Report(w io.Writer) {
 		fmt.Fprintln(w, "timing: not profiled")
 		return
 	}
-	fmt.Fprintf(w, "engine phase breakdown — %d run(s), %d ticks, %.3f s measured\n", t.Runs, t.Ticks, t.Seconds)
+	replayed := ""
+	if t.Replayed > 0 {
+		replayed = fmt.Sprintf(" (%d replayed: no mobility or contact detection)", t.Replayed)
+	}
+	fmt.Fprintf(w, "engine phase breakdown — %d run(s)%s, %d ticks, %.3f s measured\n", t.Runs, replayed, t.Ticks, t.Seconds)
 	fmt.Fprintf(w, "  %-10s %10s %7s %12s\n", "phase", "seconds", "share", "per-tick")
 	for _, ph := range t.Phases {
 		if ph.Count == 0 && ph.Seconds == 0 {

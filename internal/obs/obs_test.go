@@ -89,14 +89,14 @@ func TestMergeTiming(t *testing.T) {
 	if MergeTiming(nil, nil) != nil {
 		t.Fatal("merge of nils should be nil")
 	}
-	a := &Timing{Runs: 1, Ticks: 10, Seconds: 2,
+	a := &Timing{Runs: 1, Ticks: 10, Seconds: 2, Replayed: 1,
 		Phases:          []PhaseTiming{{Phase: "mobility", Seconds: 2, Count: 10}},
 		ExchangeSeconds: 0.5, ExchangeCount: 4, ShardBusySeconds: []float64{1, 2}}
 	b := &Timing{Runs: 2, Ticks: 5, Seconds: 1,
 		Phases:          []PhaseTiming{{Phase: "mobility", Seconds: 0.5, Count: 5}, {Phase: "scan", Seconds: 0.5, Count: 5}},
 		ExchangeSeconds: 0.25, ExchangeCount: 2, ShardBusySeconds: []float64{1, 1, 1}}
 	m := MergeTiming(a, b)
-	if m.Runs != 3 || m.Ticks != 15 || m.Seconds != 3 {
+	if m.Runs != 3 || m.Ticks != 15 || m.Seconds != 3 || m.Replayed != 1 {
 		t.Fatalf("merged header = %+v", m)
 	}
 	if m.PhaseSeconds("mobility") != 2.5 || m.PhaseSeconds("scan") != 0.5 {
@@ -138,6 +138,15 @@ func TestReport(t *testing.T) {
 	}
 	if strings.Contains(out, "merge") {
 		t.Fatalf("report should omit zero phases:\n%s", out)
+	}
+	if strings.Contains(out, "replayed") {
+		t.Fatalf("report of live runs mentions replay:\n%s", out)
+	}
+	tm.Replayed = 1
+	var rb strings.Builder
+	tm.Report(&rb)
+	if !strings.Contains(rb.String(), "2 run(s) (1 replayed") {
+		t.Fatalf("report does not count replayed runs:\n%s", rb.String())
 	}
 	var nb strings.Builder
 	(*Timing)(nil).Report(&nb)

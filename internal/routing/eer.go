@@ -276,22 +276,18 @@ func (r *EER) sparseMEMDTo(st *eerContact, dst int) float64 {
 }
 
 // computeMeanIntervalMD is the A2 ablation: the own row uses plain mean
-// intervals (MEED) instead of elapsed-conditioned EMDs. It reuses the
-// shared scratch by temporarily overriding the history row via a throwaway
-// matrix row — implemented by building the MD entirely from MI, i.e. the
-// own MI row already holds mean intervals.
+// intervals (MEED) instead of elapsed-conditioned EMDs — the MD matrix is
+// the MI matrix itself, read one row at a time by Dijkstra.
 func (r *EER) computeMeanIntervalMD(st *eerContact) {
 	n := r.World.N()
-	w := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		row := make([]float64, n)
-		for j := 0; j < n; j++ {
-			row[j] = r.mi.Interval(i, j)
-		}
-		w[i] = row
-	}
+	row := make([]float64, n)
 	dist := make([]float64, n)
-	graph.DenseDijkstra(w, r.Self.ID, dist)
+	graph.DenseDijkstra(func(u int) []float64 {
+		for j := range row {
+			row[j] = r.mi.Interval(u, j)
+		}
+		return row
+	}, graph.Weights, r.Self.ID, dist, make([]int32, n+1))
 	st.memd = dist
 }
 

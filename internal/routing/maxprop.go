@@ -64,9 +64,11 @@ type MaxProp struct {
 	costValid bool
 }
 
+// maxPropShared is the read-only and scratch state one world's dense
+// routers share (refreshCost never runs concurrently within a world).
 type maxPropShared struct {
-	w    [][]float64
-	dist []float64
+	none []float64 // all zero: the probability row of "no edges"
+	next []int32   // DenseDijkstra's unvisited-list scratch
 }
 
 // NewMaxProp returns a MaxProp router; use MaxPropFactory so dense routers
@@ -97,13 +99,7 @@ func MaxPropFactory(n int, sparse bool, maxRows int, gossip core.ExchangeMode) f
 }
 
 func newMaxPropShared(n int) *maxPropShared {
-	shared := &maxPropShared{dist: make([]float64, n)}
-	shared.w = make([][]float64, n)
-	flat := make([]float64, n*n)
-	for i := range shared.w {
-		shared.w[i], flat = flat[:n], flat[n:]
-	}
-	return shared
+	return &maxPropShared{none: make([]float64, n), next: make([]int32, n+1)}
 }
 
 // Init implements network.Router.
@@ -338,8 +334,8 @@ func (r *MaxProp) refreshCost() {
 					return
 				}
 				c := 1 - p
-				if c < 1e-9 {
-					c = 1e-9
+				if c < graph.MinProbCost {
+					c = graph.MinProbCost
 				}
 				relax(v, c)
 			})
@@ -347,29 +343,16 @@ func (r *MaxProp) refreshCost() {
 		r.costValid = true
 		return
 	}
-	n := len(r.probs)
-	w := r.scratch.w
-	for u := 0; u < n; u++ {
-		known := r.updated[u] >= 0
-		for v := 0; v < n; v++ {
-			if u == v || !known {
-				w[u][v] = math.Inf(1)
-				continue
-			}
-			p := r.probs[u][v]
-			if p <= 0 {
-				w[u][v] = math.Inf(1)
-				continue
-			}
-			c := 1 - p
-			if c < 1e-9 {
-				c = 1e-9
-			}
-			w[u][v] = c
+	// Dense: Dijkstra reads the Σ(1−p) weights straight from the
+	// probability rows as it settles them; a never-published row has no
+	// edges.
+	sh := r.scratch
+	graph.DenseDijkstra(func(u int) []float64 {
+		if r.updated[u] < 0 {
+			return sh.none
 		}
-	}
-	graph.DenseDijkstra(w, r.Self.ID, r.scratch.dist)
-	copy(r.cost, r.scratch.dist)
+		return r.probs[u]
+	}, graph.Probs, r.Self.ID, r.cost, sh.next)
 	r.costValid = true
 }
 
