@@ -153,8 +153,8 @@ func BenchmarkSnapshotEEV(b *testing.B) {
 	}
 }
 
-// BenchmarkMEMD measures one Theorem-3 computation (MD build + dense
-// Dijkstra) at the paper's largest scale, 240 nodes.
+// BenchmarkMEMD measures one Theorem-3 computation (own-row build +
+// edge-list Dijkstra) at the paper's largest scale, 240 nodes.
 func BenchmarkMEMD(b *testing.B) {
 	const n = 240
 	h := benchHistory(n, 20)

@@ -118,7 +118,7 @@ func (m *MeetingMatrix) floodVolume() ExchangeStats {
 	var st ExchangeStats
 	for i, u := range m.updated {
 		if u >= 0 {
-			st.AddRow(knownEntries(m.rows[i], i))
+			st.AddRow(len(m.rows[i]))
 		}
 	}
 	return st
@@ -153,11 +153,8 @@ func (m *MeetingMatrix) mergeDelta(other *MeetingMatrix, otherSeen uint64) Excha
 			continue
 		}
 		if other.updated[i] > m.updated[i] {
-			copy(m.rows[i], other.rows[i])
-			m.updated[i] = other.updated[i]
-			m.version++
-			m.rowVer[i] = m.version
-			st.AddRow(knownEntries(m.rows[i], i))
+			m.takeRow(other, i)
+			st.AddRow(len(m.rows[i]))
 		}
 	}
 	return st

@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
+
+	"repro/internal/graph"
 )
 
 // Unknown marks an MI entry for which no meeting-interval estimate exists.
@@ -166,11 +169,19 @@ func Sync(a, b MeetingStore) ExchangeStats {
 //
 // The same type serves the full network (EER) and a single community
 // (CR's intra-community MI) — the latter simply covers fewer ids.
+//
+// A row is an immutable compact value: the ascending list of its finite
+// off-diagonal (local index, interval) entries — exactly what
+// ForEachKnown visits and what a sparse row stores — so the MEMD
+// Dijkstra reads it as its edge list. UpdateOwnRow publishes a new row
+// and never writes into a published one, so a merge or a clone shares the
+// row instead of copying it: one world holds each published version once,
+// however many nodes have learned it.
 type MeetingMatrix struct {
-	ids     []int       // global node ids covered, ascending
-	idx     map[int]int // global id -> local index
-	rows    [][]float64 // rows[i][j] = I(ids[i], ids[j]); Unknown if none
-	updated []float64   // last update time per row; -1 = never
+	ids     []int          // global node ids covered, ascending
+	idx     map[int]int    // global id -> local index
+	rows    [][]graph.Edge // rows[i]: ids[i]'s known entries by local index; shared, never mutated
+	updated []float64      // last update time per row; -1 = never
 
 	// Delta-gossip bookkeeping (see exchange.go): version counts local
 	// row mutations (own refreshes and merge copies), rowVer stamps each
@@ -188,21 +199,15 @@ func NewMeetingMatrix(ids []int) *MeetingMatrix {
 	m := &MeetingMatrix{
 		ids:     append([]int(nil), ids...),
 		idx:     make(map[int]int, len(ids)),
-		rows:    make([][]float64, len(ids)),
+		rows:    make([][]graph.Edge, len(ids)),
 		updated: make([]float64, len(ids)),
 		rowVer:  make([]uint64, len(ids)),
-	}
-	flat := make([]float64, len(ids)*len(ids))
-	for i := range flat {
-		flat[i] = Unknown
 	}
 	for i, id := range m.ids {
 		if _, dup := m.idx[id]; dup {
 			panic(fmt.Sprintf("core: duplicate id %d in meeting matrix", id))
 		}
 		m.idx[id] = i
-		m.rows[i], flat = flat[:len(ids)], flat[len(ids):]
-		m.rows[i][i] = 0
 		m.updated[i] = -1
 	}
 	return m
@@ -244,7 +249,15 @@ func (m *MeetingMatrix) Interval(a, b int) float64 {
 	if !ok1 || !ok2 {
 		return Unknown
 	}
-	return m.rows[i][j]
+	if i == j {
+		return 0
+	}
+	row := m.rows[i]
+	k := sort.Search(len(row), func(k int) bool { return row[k].To >= j })
+	if k < len(row) && row[k].To == j {
+		return row[k].Weight
+	}
+	return Unknown
 }
 
 // RowUpdated returns the timestamp of the last update of global node id's
@@ -257,26 +270,26 @@ func (m *MeetingMatrix) RowUpdated(id int) float64 {
 	return m.updated[i]
 }
 
-// UpdateOwnRow refreshes the row owned by global node self from its contact
-// history at time t. Only peers covered by the matrix are read, so a
-// community-scoped matrix stores only intra-community averages.
+// UpdateOwnRow publishes a new row owned by global node self from its
+// contact history at time t; the previous row, which other matrices may
+// share, is left untouched. Only peers covered by the matrix are read, so
+// a community-scoped matrix stores only intra-community averages.
 func (m *MeetingMatrix) UpdateOwnRow(self int, t float64, h *History) {
 	i, ok := m.idx[self]
 	if !ok {
 		panic(fmt.Sprintf("core: node %d not covered by meeting matrix", self))
 	}
-	row := m.rows[i]
+	// The known peer set rarely grows by more than the one just met.
+	row := make([]graph.Edge, 0, len(m.rows[i])+1)
 	for j, id := range m.ids {
-		if id == self {
-			row[j] = 0
+		if j == i {
 			continue
 		}
-		if mean, got := h.MeanInterval(id); got {
-			row[j] = mean
-		} else {
-			row[j] = Unknown
+		if mean, got := h.MeanInterval(id); got && !math.IsInf(mean, 1) {
+			row = append(row, graph.Edge{To: j, Weight: mean})
 		}
 	}
+	m.rows[i] = row
 	m.updated[i] = t
 	m.version++
 	m.rowVer[i] = m.version
@@ -290,19 +303,14 @@ func (m *MeetingMatrix) ForEachKnown(owner int, f func(peer int, interval float6
 	if !ok {
 		return
 	}
-	row := m.rows[i]
-	for j, id := range m.ids {
-		if j == i {
-			continue
-		}
-		if v := row[j]; !math.IsInf(v, 1) {
-			f(id, v)
-		}
+	for _, e := range m.rows[i] {
+		f(m.ids[e.To], e.Weight)
 	}
 }
 
-// Merge copies into m every row of other that is strictly fresher,
-// implementing the exchange of Algorithm 1 line 4. It returns the exchange
+// Merge adopts into m every row of other that is strictly fresher,
+// implementing the exchange of Algorithm 1 line 4; adopted rows are shared,
+// not copied. It returns the exchange
 // volume (rows copied, known entries they carried, serialized bytes). Both
 // matrices must cover the same id set.
 func (m *MeetingMatrix) Merge(other *MeetingMatrix) ExchangeStats {
@@ -315,26 +323,20 @@ func (m *MeetingMatrix) Merge(other *MeetingMatrix) ExchangeStats {
 			panic("core: merging meeting matrices over different node sets")
 		}
 		if other.updated[i] > m.updated[i] {
-			copy(m.rows[i], other.rows[i])
-			m.updated[i] = other.updated[i]
-			m.version++
-			m.rowVer[i] = m.version
-			st.AddRow(knownEntries(m.rows[i], i))
+			m.takeRow(other, i)
+			st.AddRow(len(m.rows[i]))
 		}
 	}
 	return st
 }
 
-// knownEntries counts the finite off-diagonal entries of row i — exactly
-// the entries ForEachKnown visits, and exactly what a sparse row stores.
-func knownEntries(row []float64, i int) int {
-	n := 0
-	for j, v := range row {
-		if j != i && !math.IsInf(v, 1) {
-			n++
-		}
-	}
-	return n
+// takeRow adopts other's row i — sharing it, since published rows are
+// immutable — with its freshness, and stamps the local mutation.
+func (m *MeetingMatrix) takeRow(other *MeetingMatrix, i int) {
+	m.rows[i] = other.rows[i]
+	m.updated[i] = other.updated[i]
+	m.version++
+	m.rowVer[i] = m.version
 }
 
 // SyncPair merges a and b into the identical MI required by Algorithm 1
@@ -357,12 +359,12 @@ func (m *MeetingMatrix) KnownRows() int {
 	return n
 }
 
-// Clone returns a deep copy of the matrix.
+// Clone returns an independent copy of the matrix. It shares the
+// immutable rows: later updates or merges on either side replace rows,
+// never write into them.
 func (m *MeetingMatrix) Clone() *MeetingMatrix {
 	c := NewMeetingMatrix(m.ids)
-	for i := range m.rows {
-		copy(c.rows[i], m.rows[i])
-	}
+	copy(c.rows, m.rows)
 	copy(c.updated, m.updated)
 	copy(c.rowVer, m.rowVer)
 	c.version = m.version

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -125,4 +126,72 @@ func TestDuplicateIDsPanic(t *testing.T) {
 		}
 	}()
 	NewMeetingMatrix([]int{1, 1})
+}
+
+// rowView captures everything a reader can see of one row: Interval to
+// every covered id and the ForEachKnown visit sequence.
+func rowView(m *MeetingMatrix, owner int) string {
+	out := fmt.Sprintf("@%g:", m.RowUpdated(owner))
+	for _, id := range m.IDs() {
+		out += fmt.Sprintf(" %g", m.Interval(owner, id))
+	}
+	out += " |"
+	m.ForEachKnown(owner, func(peer int, v float64) { out += fmt.Sprintf(" %d=%g", peer, v) })
+	return out
+}
+
+// TestSharedRowsSurviveOwnerUpdate pins the sharing contract of the
+// compact rows: once a matrix holds another's row — through Merge, a
+// delta sync or Clone — a later UpdateOwnRow by the owner publishes a new
+// row and leaves every holder's view of the old one unchanged, and the
+// holder's own updates never reach back into the source.
+func TestSharedRowsSurviveOwnerUpdate(t *testing.T) {
+	const n = 4
+	hb := NewHistory(1, n, 0)
+	hb.RecordContact(0, 0)
+	hb.RecordContact(0, 30)
+	hb.RecordContact(2, 5)
+	hb.RecordContact(2, 25)
+	for _, tc := range []struct {
+		name  string
+		learn func(a, b *MeetingMatrix) *MeetingMatrix
+	}{
+		{"merge", func(a, b *MeetingMatrix) *MeetingMatrix { a.Merge(b); return a }},
+		{"delta", func(a, b *MeetingMatrix) *MeetingMatrix {
+			SyncPairMode(a, b, 0, 1, ExchangeDelta)
+			return a
+		}},
+		{"clone", func(_, b *MeetingMatrix) *MeetingMatrix { return b.Clone() }},
+	} {
+		name := tc.name
+		b := NewFullMeetingMatrix(n)
+		b.UpdateOwnRow(1, 30, hb)
+		holder := tc.learn(NewFullMeetingMatrix(n), b)
+		before := rowView(holder, 1)
+		if before != rowView(b, 1) {
+			t.Fatalf("%s: holder sees %q, owner %q", name, before, rowView(b, 1))
+		}
+		h := NewHistory(1, n, 0)
+		h.RecordContact(0, 0)
+		h.RecordContact(0, 10)
+		h.RecordContact(3, 10)
+		h.RecordContact(3, 70)
+		b.UpdateOwnRow(1, 70, h)
+		if got := rowView(holder, 1); got != before {
+			t.Errorf("%s: owner's update leaked into the holder: %q, was %q", name, got, before)
+		}
+		if rowView(b, 1) == before {
+			t.Fatalf("%s: owner's update did not change its own row", name)
+		}
+		// The reverse direction: the holder publishing its own row must
+		// not touch the source matrix.
+		ownerView := rowView(b, 0)
+		hh := NewHistory(0, n, 0)
+		hh.RecordContact(2, 0)
+		hh.RecordContact(2, 9)
+		holder.UpdateOwnRow(0, 80, hh)
+		if got := rowView(b, 0); got != ownerView {
+			t.Errorf("%s: holder's update leaked into the source: %q, was %q", name, got, ownerView)
+		}
+	}
 }

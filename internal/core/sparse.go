@@ -427,8 +427,10 @@ func NewSparseDijkstra() *SparseDijkstra {
 // edge test, so callers may pass raw rows. Distances are bit-identical to
 // the dense computation over the equivalent matrix: with strictly positive
 // weights, every final distance is the minimum over dist[u]+w(u,v) of the
-// settled in-neighbours, independent of settle-order tie-breaks.
-func (d *SparseDijkstra) Run(src int, edges func(u int, relax func(v int, w float64))) {
+// settled in-neighbours, independent of settle-order tie-breaks. It
+// returns the number of vertices settled: every reached vertex, src
+// included.
+func (d *SparseDijkstra) Run(src int, edges func(u int, relax func(v int, w float64))) int {
 	clear(d.dist)
 	d.heap = d.heap[:0]
 	d.dist[src] = 0
@@ -452,6 +454,7 @@ func (d *SparseDijkstra) Run(src int, edges func(u int, relax func(v int, w floa
 		base = it.d
 		edges(int(it.id), relax)
 	}
+	return len(d.dist)
 }
 
 // Dist returns the distance to v from the last Run. ok is false when v was
@@ -531,9 +534,10 @@ func NewSparseMEMD() *SparseMEMD {
 }
 
 // Compute runs the Theorem-3 Dijkstra from self at time t. Subsequent
-// Delay calls answer from the result.
-func (m *SparseMEMD) Compute(self int, t float64, h *History, mi MeetingStore) {
-	m.dij.Run(self, func(u int, relax func(v int, w float64)) {
+// Delay calls answer from the result. It returns the number of vertices
+// settled.
+func (m *SparseMEMD) Compute(self int, t float64, h *History, mi MeetingStore) int {
+	settled := m.dij.Run(self, func(u int, relax func(v int, w float64)) {
 		if u == self {
 			// Own row: elapsed-time-conditioned EMDs (Theorem 2), scoped to
 			// the store's coverage like a dense row over scoped ids.
@@ -550,16 +554,19 @@ func (m *SparseMEMD) Compute(self int, t float64, h *History, mi MeetingStore) {
 		mi.ForEachKnown(u, relax)
 	})
 	m.valid = true
+	return settled
 }
 
 // ComputeStoreOnly builds every row, including the holder's, from the
 // store's published mean intervals — the MEED-style A2 ablation, which the
-// dense path implements by filling the whole MD matrix from MI.
-func (m *SparseMEMD) ComputeStoreOnly(self int, mi MeetingStore) {
-	m.dij.Run(self, func(u int, relax func(v int, w float64)) {
+// dense MEMD.ComputeStoreOnly runs over the MI rows themselves. It returns
+// the number of vertices settled.
+func (m *SparseMEMD) ComputeStoreOnly(self int, mi MeetingStore) int {
+	settled := m.dij.Run(self, func(u int, relax func(v int, w float64)) {
 		mi.ForEachKnown(u, relax)
 	})
 	m.valid = true
+	return settled
 }
 
 // Delay returns the minimum expected meeting delay from the node of the

@@ -69,6 +69,41 @@ func TestProfiledParity(t *testing.T) {
 	}
 }
 
+// TestProfiledEstimatorDijkstraCounts pins the estimator Dijkstra
+// counters: estimator-driven protocols book runs whose settled vertices
+// lie between one (the holder) and the node count per run, in both storage
+// modes; a protocol without estimators books none. Profiling stays
+// bit-neutral on those paths.
+func TestProfiledEstimatorDijkstraCounts(t *testing.T) {
+	for _, tc := range []struct {
+		proto  Protocol
+		sparse bool
+	}{{EER, false}, {EER, true}, {CR, false}, {MaxProp, false}, {MaxProp, true}, {SprayAndWait, false}} {
+		s := Quick()
+		s.Nodes = 30
+		s.Duration = 600
+		s.Protocol = tc.proto
+		s.SparseEstimators = tc.sparse
+		want, _ := json.Marshal(s.Run())
+		s.Profile = true
+		got := s.Run()
+		tm := got.Timing
+		got.Timing = nil
+		if gotJSON, _ := json.Marshal(got); string(gotJSON) != string(want) {
+			t.Fatalf("%s sparse=%v: profiling changed the summary", tc.proto, tc.sparse)
+		}
+		if tc.proto == SprayAndWait {
+			if tm.DijkstraRuns != 0 || tm.DijkstraSettled != 0 {
+				t.Fatalf("%s booked estimator Dijkstras: %d runs", tc.proto, tm.DijkstraRuns)
+			}
+			continue
+		}
+		if tm.DijkstraRuns == 0 || tm.DijkstraSettled < tm.DijkstraRuns || tm.DijkstraSettled > tm.DijkstraRuns*int64(s.Nodes) {
+			t.Fatalf("%s sparse=%v: %d runs settled %d vertices", tc.proto, tc.sparse, tm.DijkstraRuns, tm.DijkstraSettled)
+		}
+	}
+}
+
 // TestProfiledReplayParity runs the trace record/replay path profiled:
 // the replayed summary must stay bit-identical to the live run (timing
 // stripped), and the replay's timing must book the script phase instead
@@ -116,7 +151,7 @@ func TestStripTiming(t *testing.T) {
 	if got := StripTiming(plain); &got[0] != &plain[0] {
 		t.Fatal("timing-free input should be returned as-is")
 	}
-	timed := []metrics.Summary{{Generated: 1, Timing: &obs.Timing{Runs: 1}}, {Generated: 2}}
+	timed := []metrics.Summary{{Generated: 1, Timing: &obs.Timing{Runs: 1, DijkstraRuns: 3, DijkstraSettled: 90}}, {Generated: 2}}
 	got := StripTiming(timed)
 	if got[0].Timing != nil || got[1].Timing != nil {
 		t.Fatal("timing survived stripping")
@@ -132,7 +167,7 @@ func TestStripTiming(t *testing.T) {
 	if m := metrics.Mean(got); m.Timing != nil {
 		t.Fatal("mean of stripped summaries grew timing")
 	}
-	if m := metrics.Mean(timed); m.Timing == nil || m.Timing.Runs != 1 {
+	if m := metrics.Mean(timed); m.Timing == nil || m.Timing.Runs != 1 || m.Timing.DijkstraRuns != 3 || m.Timing.DijkstraSettled != 90 {
 		t.Fatalf("mean of profiled summaries lost timing: %+v", m.Timing)
 	}
 }

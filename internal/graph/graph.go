@@ -1,7 +1,7 @@
 // Package graph implements the weighted undirected graphs used for road
 // networks (mobility substrate) and for expected-meeting-delay matrices
 // (routing substrate). It provides heap-based Dijkstra for sparse road
-// graphs and an array-based dense Dijkstra for meeting-delay matrices.
+// graphs and an array-keyed edge-list Dijkstra for meeting-delay rows.
 package graph
 
 import (
@@ -205,89 +205,78 @@ func (c *PathCache) Path(src, dst int) []int {
 	return p
 }
 
-// Entries says how DenseDijkstra reads row entries as edges.
-type Entries int
-
-const (
-	// Weights: an entry w in (0, +Inf) is an edge of weight w; <= 0 or
-	// +Inf means "no edge". MEMD's delay matrix.
-	Weights Entries = iota
-	// Probs: an entry p in (0, +Inf) is a link probability, an edge of
-	// weight max(1−p, MinProbCost); p <= 0 means "no edge". MaxProp's
-	// Σ(1−p) path cost, read straight from its probability rows.
-	Probs
-)
-
-// MinProbCost floors a Probs edge's weight, so a certain link (p >= 1)
-// still costs something and path costs stay strictly increasing.
+// MinProbCost floors MaxProp's Σ(1−p) edge weight max(1−p, MinProbCost),
+// so a certain link (p >= 1) still costs something and path costs stay
+// strictly increasing.
 const MinProbCost = 1e-9
 
-// DenseDijkstra runs Dijkstra on a dense graph over vertices 0..n-1,
-// n = len(dist), and writes shortest-path distances from src into dist.
-// row(u) returns u's out-edge entries, a slice of length n read as
-// entries says (the diagonal is ignored). It is called once per settled
-// vertex and its slice is read only until the next call, so callers hand
-// over the rows they already hold — MEMD's MI rows, MaxProp's probability
-// rows — instead of materialising an n×n weight matrix. next is
-// caller-provided scratch of length n+1, so per-contact callers allocate
-// nothing per run. This is the MEMD computation of Theorem 3: array-based
-// O(n²) beats a heap on a dense matrix.
-func DenseDijkstra(row func(u int) []float64, entries Entries, src int, dist []float64, next []int32) {
+// EdgeDijkstra runs Dijkstra over vertices 0..n-1, n = len(dist), and
+// writes shortest-path distances from src into dist (+Inf where
+// unreachable). It returns the number of vertices settled, src included.
+//
+// row(u) returns u's out-edges. An edge relaxes only if its weight is
+// > 0: zero, negative and NaN weights are "no edge", and +Inf never
+// improves a distance. row is called once per settled vertex and its
+// slice is read only until the next call, so callers hand over the
+// compact rows they already hold — MEMD's shared MI rows, MaxProp's
+// published cost rows — instead of materialising an n×n matrix. key is
+// caller-provided scratch of length n, so per-contact callers allocate
+// nothing per run. This is the MEMD computation of Theorem 3.
+//
+// The kernel works on integer keys: the IEEE bits of non-negative floats
+// order like their values, so a relaxation is an unsigned min and needs
+// no branch on the current distance. A settled vertex holds key 0, which
+// min never raises, and selection is the argmin of key−1, which wraps 0
+// to the maximum so settled vertices are never picked again; ties go to
+// the lowest id. Final distances do not depend on tie order (each is the
+// min over settled in-neighbours of dist[u]+w), so they are bit-identical
+// to any other Dijkstra over the same edges.
+func EdgeDijkstra(row func(u int) []Edge, src int, dist []float64, key []uint64) int {
 	n := len(dist)
-	if len(next) != n+1 {
-		panic("graph: DenseDijkstra scratch length mismatch")
+	if len(key) != n {
+		panic("graph: EdgeDijkstra scratch length mismatch")
 	}
 	inf := math.Inf(1)
-	for i := range dist {
+	infKey := math.Float64bits(inf)
+	for i := range key {
+		key[i] = infKey
 		dist[i] = inf
 	}
-	dist[src] = 0
-	// Unvisited vertices form an ascending singly-linked list threaded
-	// through next (slot n is the head sentinel), so each pass walks only
-	// the remaining vertices instead of flag-checking all n. Each
-	// iteration settles u and, in one ascending pass, relaxes u's row
-	// while selecting the next closest unvisited vertex. The relaxation
-	// of v always happens before v is considered for selection, so the
-	// selected vertex — ties resolving to the lowest id — and every
-	// distance are bit-identical to the classic two-pass formulation.
-	prev := int32(n)
-	for v := 0; v < n; v++ {
-		if v == src {
-			continue
-		}
-		next[prev] = int32(v)
-		prev = int32(v)
-	}
-	next[prev] = -1
+	settled := 0
 	u, best := src, 0.0
-	for u >= 0 {
-		w := row(u)
-		nu, nbest := int32(-1), inf
-		bp := int32(n) // predecessor of nu in the list
-		pv := int32(n)
-		for v := next[n]; v >= 0; v = next[v] {
-			// Relax v via u. Entries <= 0 or +Inf are "no edge"; the
-			// weight would be +Inf or worse and never improve dist[v],
-			// but skipping them avoids the float work on sparse rows.
-			if x := w[v]; x > 0 && x < inf {
-				ew := x
-				if entries == Probs {
-					if ew = 1 - x; ew < MinProbCost {
-						ew = MinProbCost
-					}
-				}
-				if nd := best + ew; nd < dist[v] {
-					dist[v] = nd
-				}
+	for {
+		dist[u] = best
+		key[u] = 0
+		settled++
+		for _, e := range row(u) {
+			if e.Weight > 0 {
+				key[e.To] = min(key[e.To], math.Float64bits(best+e.Weight))
 			}
-			if dist[v] < nbest {
-				nu, nbest, bp = v, dist[v], pv
+		}
+		// Only keys in [1, infKey) — reached, unsettled — pass the test.
+		// Even and odd ids run as two independent min chains, halving the
+		// scan's dependency chain; the merge keeps the lowest-id tie.
+		next, nk := -1, infKey-1
+		odd, ok := -1, infKey-1
+		v := 0
+		for ; v+1 < n; v += 2 {
+			a, b := key[v]-1, key[v+1]-1
+			if a < nk {
+				next, nk = v, a
 			}
-			pv = v
+			if b < ok {
+				odd, ok = v+1, b
+			}
 		}
-		if nu >= 0 {
-			next[bp] = next[nu] // settle nu: unlink it
+		if v < n && key[v]-1 < nk {
+			next, nk = v, key[v]-1
 		}
-		u, best = int(nu), nbest
+		if ok < nk || (ok == nk && odd < next) {
+			next, nk = odd, ok
+		}
+		if next < 0 {
+			return settled
+		}
+		u, best = next, math.Float64frombits(nk+1)
 	}
 }

@@ -118,69 +118,59 @@ func TestPathCache(t *testing.T) {
 	}
 }
 
-// TestDenseDijkstraMatchesHeap cross-checks the dense O(n²) variant against
-// the heap implementation on random dense graphs.
-func TestDenseDijkstraMatchesHeap(t *testing.T) {
+// TestEdgeDijkstraMatchesHeap cross-checks the edge-list kernel against
+// the heap implementation on random undirected graphs.
+func TestEdgeDijkstraMatchesHeap(t *testing.T) {
 	rng := xrand.New(7)
 	for trial := 0; trial < 50; trial++ {
 		n := 2 + rng.Intn(12)
 		g := New(n)
-		w := make([][]float64, n)
-		for i := range w {
-			w[i] = make([]float64, n)
-			for j := range w[i] {
-				w[i][j] = math.Inf(1)
-			}
-		}
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if rng.Bool(0.6) {
-					weight := rng.Uniform(0.1, 10)
-					g.AddEdge(i, j, weight)
-					w[i][j], w[j][i] = weight, weight
+					g.AddEdge(i, j, rng.Uniform(0.1, 10))
 				}
 			}
 		}
 		src := rng.Intn(n)
 		want, _ := g.Dijkstra(src)
 		dist := make([]float64, n)
-		DenseDijkstra(matrixRows(w), Weights, src, dist, make([]int32, n+1))
+		EdgeDijkstra(g.Neighbors, src, dist, make([]uint64, n))
 		for v := 0; v < n; v++ {
-			if math.IsInf(want[v], 1) != math.IsInf(dist[v], 1) {
-				t.Fatalf("trial %d: reachability mismatch at %d", trial, v)
-			}
-			if !math.IsInf(want[v], 1) && math.Abs(want[v]-dist[v]) > 1e-9 {
+			if math.Float64bits(want[v]) != math.Float64bits(dist[v]) {
 				t.Fatalf("trial %d: dist[%d] = %g, want %g", trial, v, dist[v], want[v])
 			}
 		}
 	}
 }
 
-func TestDenseDijkstraAsymmetric(t *testing.T) {
+func TestEdgeDijkstraAsymmetric(t *testing.T) {
 	// Directed weights: 0->1 cheap, 1->0 expensive; Dijkstra from 0 uses
 	// row 0.
-	w := [][]float64{
-		{0, 1, math.Inf(1)},
-		{100, 0, 2},
-		{math.Inf(1), 2, 0},
+	rows := [][]Edge{
+		{{To: 1, Weight: 1}},
+		{{To: 0, Weight: 100}, {To: 2, Weight: 2}},
+		{{To: 1, Weight: 2}},
 	}
 	dist := make([]float64, 3)
-	DenseDijkstra(matrixRows(w), Weights, 0, dist, make([]int32, 4))
-	if dist[1] != 1 || dist[2] != 3 {
+	if settled := EdgeDijkstra(edgeRows(rows), 0, dist, make([]uint64, 3)); settled != 3 {
+		t.Errorf("settled %d vertices, want 3", settled)
+	}
+	if dist[0] != 0 || dist[1] != 1 || dist[2] != 3 {
 		t.Errorf("dist = %v, want [0 1 3]", dist)
 	}
 }
 
-func TestDenseDijkstraLengthMismatchPanics(t *testing.T) {
+func TestEdgeDijkstraLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	DenseDijkstra(matrixRows([][]float64{{0}, {0}}), Weights, 0, make([]float64, 2), make([]int32, 2))
+	EdgeDijkstra(edgeRows(make([][]Edge, 2)), 0, make([]float64, 2), make([]uint64, 1))
 }
 
-// matrixRows is the row accessor of a materialised weight matrix.
-func matrixRows(w [][]float64) func(u int) []float64 {
-	return func(u int) []float64 { return w[u] }
+// edgeRows is the row accessor of a materialised edge-list table.
+func edgeRows(rows [][]Edge) func(u int) []Edge {
+	return func(u int) []Edge { return rows[u] }
 }

@@ -138,6 +138,17 @@ func (w *World) SetProfiler(p *obs.EngineProf) {
 	p.EnsureShards(workers)
 }
 
+// Profiler returns the attached engine profiler: nil when profiling is
+// off or w is nil (a router used outside any world). The profiler's
+// methods are nil-safe, so routers book estimator work through it
+// unconditionally.
+func (w *World) Profiler() *obs.EngineProf {
+	if w == nil {
+		return nil
+	}
+	return w.prof
+}
+
 // Runner returns the simulation driver.
 func (w *World) Runner() *sim.Runner { return w.runner }
 

@@ -14,7 +14,8 @@
 //
 //   - EngineProf / Timing: per-tick phase breakdown for the simulation
 //     engine (serial, sharded and scripted tick paths), per-shard busy
-//     time for imbalance detection, and routing-exchange timing.
+//     time for imbalance detection, routing-exchange timing, and the
+//     estimator Dijkstra run and settled-vertex counts.
 //   - Histogram: a fixed-bucket atomic histogram for the service layer
 //     (HTTP request duration, queue wait), rendered by the daemon in
 //     Prometheus text format.
@@ -87,6 +88,8 @@ type EngineProf struct {
 	ticks      atomic.Int64
 	exchNanos  atomic.Int64 // router contact callbacks (estimator gossip)
 	exchCount  atomic.Int64
+	dijRuns    atomic.Int64   // estimator Dijkstra runs (MEMD, MaxProp cost)
+	dijSettled atomic.Int64   // vertices those runs settled
 	shardBusy  []atomic.Int64 // per-shard worker busy nanos (sharded mode)
 }
 
@@ -131,6 +134,19 @@ func (p *EngineProf) Exchange(start int64) {
 	p.exchCount.Add(1)
 }
 
+// EstimatorDijkstra counts one estimator shortest-path run — a MEMD
+// (Theorem 3) or MaxProp path-cost computation — that settled the given
+// number of vertices. The settled total measures the work those runs did;
+// settled per run near the network size means each run reached the whole
+// population.
+func (p *EngineProf) EstimatorDijkstra(settled int) {
+	if p == nil {
+		return
+	}
+	p.dijRuns.Add(1)
+	p.dijSettled.Add(int64(settled))
+}
+
 // EnsureShards sizes the per-shard busy table. Called once at world
 // construction; not safe concurrently with AddShardBusy.
 func (p *EngineProf) EnsureShards(n int) {
@@ -172,6 +188,8 @@ func (p *EngineProf) Timing() *Timing {
 	}
 	t.ExchangeSeconds = float64(p.exchNanos.Load()) / 1e9
 	t.ExchangeCount = p.exchCount.Load()
+	t.DijkstraRuns = p.dijRuns.Load()
+	t.DijkstraSettled = p.dijSettled.Load()
 	if len(p.shardBusy) > 0 {
 		t.ShardBusySeconds = make([]float64, len(p.shardBusy))
 		for i := range p.shardBusy {
@@ -212,6 +230,12 @@ type Timing struct {
 	ExchangeSeconds float64 `json:"exchange_seconds"`
 	ExchangeCount   int64   `json:"exchange_count,omitempty"`
 
+	// Estimator Dijkstra runs (MEMD and MaxProp path costs) and the
+	// vertices they settled; counts, not time — the runs are spread over
+	// the contact and transfer callbacks.
+	DijkstraRuns    int64 `json:"dijkstra_runs,omitempty"`
+	DijkstraSettled int64 `json:"dijkstra_settled,omitempty"`
+
 	// ShardBusySeconds is per-shard worker busy time (sharded runs
 	// only) — the imbalance lens: max/mean > ~1.2 means uneven shards.
 	ShardBusySeconds []float64 `json:"shard_busy_seconds,omitempty"`
@@ -235,6 +259,8 @@ func MergeTiming(a, b *Timing) *Timing {
 		out.Seconds += t.Seconds
 		out.ExchangeSeconds += t.ExchangeSeconds
 		out.ExchangeCount += t.ExchangeCount
+		out.DijkstraRuns += t.DijkstraRuns
+		out.DijkstraSettled += t.DijkstraSettled
 		for _, ph := range t.Phases {
 			idx := -1
 			for i := range out.Phases {
@@ -304,6 +330,10 @@ func (t *Timing) Report(w io.Writer) {
 	}
 	if t.ExchangeCount > 0 || t.ExchangeSeconds > 0 {
 		fmt.Fprintf(w, "  of which routing exchange: %.3f s over %d contacts\n", t.ExchangeSeconds, t.ExchangeCount)
+	}
+	if t.DijkstraRuns > 0 {
+		fmt.Fprintf(w, "  estimator dijkstra: %d runs, %d settled vertices (%.1f per run)\n",
+			t.DijkstraRuns, t.DijkstraSettled, float64(t.DijkstraSettled)/float64(t.DijkstraRuns))
 	}
 	if n := len(t.ShardBusySeconds); n > 0 {
 		var sum, max float64

@@ -21,6 +21,7 @@ func TestNilProfilerIsSafe(t *testing.T) {
 	p.Exchange(st)
 	p.EnsureShards(4)
 	p.AddShardBusy(0, 100)
+	p.EstimatorDijkstra(10)
 	if p.Timing() != nil {
 		t.Fatal("nil Timing() should be nil")
 	}
@@ -59,6 +60,8 @@ func TestProfilerAccumulatesAndSnapshots(t *testing.T) {
 	p.AddShardBusy(0, 5e6)
 	p.AddShardBusy(1, 3e6)
 	p.AddShardBusy(7, 1e6) // out of range: dropped
+	p.EstimatorDijkstra(120)
+	p.EstimatorDijkstra(5)
 
 	tm := p.Timing()
 	if tm.Runs != 1 || tm.Ticks != 3 {
@@ -72,6 +75,9 @@ func TestProfilerAccumulatesAndSnapshots(t *testing.T) {
 	}
 	if tm.ExchangeCount != 1 || tm.ExchangeSeconds <= 0 {
 		t.Fatalf("exchange = %d / %v", tm.ExchangeCount, tm.ExchangeSeconds)
+	}
+	if tm.DijkstraRuns != 2 || tm.DijkstraSettled != 125 {
+		t.Fatalf("estimator dijkstra = %d runs / %d settled, want 2 / 125", tm.DijkstraRuns, tm.DijkstraSettled)
 	}
 	if len(tm.ShardBusySeconds) != 2 || tm.ShardBusySeconds[0] < tm.ShardBusySeconds[1] {
 		t.Fatalf("shard busy = %v", tm.ShardBusySeconds)
@@ -91,10 +97,12 @@ func TestMergeTiming(t *testing.T) {
 	}
 	a := &Timing{Runs: 1, Ticks: 10, Seconds: 2, Replayed: 1,
 		Phases:          []PhaseTiming{{Phase: "mobility", Seconds: 2, Count: 10}},
-		ExchangeSeconds: 0.5, ExchangeCount: 4, ShardBusySeconds: []float64{1, 2}}
+		ExchangeSeconds: 0.5, ExchangeCount: 4, ShardBusySeconds: []float64{1, 2},
+		DijkstraRuns: 7, DijkstraSettled: 300}
 	b := &Timing{Runs: 2, Ticks: 5, Seconds: 1,
 		Phases:          []PhaseTiming{{Phase: "mobility", Seconds: 0.5, Count: 5}, {Phase: "scan", Seconds: 0.5, Count: 5}},
-		ExchangeSeconds: 0.25, ExchangeCount: 2, ShardBusySeconds: []float64{1, 1, 1}}
+		ExchangeSeconds: 0.25, ExchangeCount: 2, ShardBusySeconds: []float64{1, 1, 1},
+		DijkstraRuns: 3, DijkstraSettled: 60}
 	m := MergeTiming(a, b)
 	if m.Runs != 3 || m.Ticks != 15 || m.Seconds != 3 || m.Replayed != 1 {
 		t.Fatalf("merged header = %+v", m)
@@ -104,6 +112,9 @@ func TestMergeTiming(t *testing.T) {
 	}
 	if m.ExchangeCount != 6 || m.ExchangeSeconds != 0.75 {
 		t.Fatalf("merged exchange = %+v", m)
+	}
+	if m.DijkstraRuns != 10 || m.DijkstraSettled != 360 {
+		t.Fatalf("merged estimator dijkstra = %d runs / %d settled, want 10 / 360", m.DijkstraRuns, m.DijkstraSettled)
 	}
 	want := []float64{2, 3, 1}
 	for i, s := range m.ShardBusySeconds {
@@ -127,11 +138,13 @@ func TestReport(t *testing.T) {
 			{Phase: "merge"}, // zero: omitted from the table
 		},
 		ExchangeSeconds: 0.1, ExchangeCount: 42,
-		ShardBusySeconds: []float64{0.7, 0.5}}
+		ShardBusySeconds: []float64{0.7, 0.5},
+		DijkstraRuns:     4, DijkstraSettled: 250}
 	var sb strings.Builder
 	tm.Report(&sb)
 	out := sb.String()
-	for _, want := range []string{"mobility", "scan", "66.7%", "routing exchange", "imbalance"} {
+	for _, want := range []string{"mobility", "scan", "66.7%", "routing exchange", "imbalance",
+		"estimator dijkstra: 4 runs, 250 settled vertices (62.5 per run)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
@@ -141,6 +154,12 @@ func TestReport(t *testing.T) {
 	}
 	if strings.Contains(out, "replayed") {
 		t.Fatalf("report of live runs mentions replay:\n%s", out)
+	}
+	tm.DijkstraRuns, tm.DijkstraSettled = 0, 0
+	var db strings.Builder
+	tm.Report(&db)
+	if strings.Contains(db.String(), "dijkstra") {
+		t.Fatalf("report without estimator runs mentions dijkstra:\n%s", db.String())
 	}
 	tm.Replayed = 1
 	var rb strings.Builder

@@ -190,13 +190,13 @@ func (r *CR) intraMEMD(st *crContact, dst int) float64 {
 	if st.memd == nil {
 		if r.cfg.SparseEstimators {
 			calc := r.shared.smemd
-			calc.Compute(r.Self.ID, st.t0, r.hist, r.intraMI)
+			r.World.Profiler().EstimatorDijkstra(calc.Compute(r.Self.ID, st.t0, r.hist, r.intraMI))
 			st.memd = make(map[int]float64)
 			calc.ForEachReached(func(id int, d float64) { st.memd[id] = d })
 		} else {
 			mi := r.intraMI.(*core.MeetingMatrix)
 			calc := r.shared.memdFor(mi.Size())
-			calc.Compute(r.Self.ID, st.t0, r.hist, mi)
+			r.World.Profiler().EstimatorDijkstra(calc.Compute(r.Self.ID, st.t0, r.hist, mi))
 			st.memd = make(map[int]float64, mi.Size())
 			dists := calc.Distances()
 			for i, id := range mi.IDs() {

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/msg"
 	"repro/internal/network"
 )
@@ -36,7 +35,8 @@ type EERConfig struct {
 	// SparseEstimators selects the sparse estimator core: per-observed-peer
 	// history and MI storage plus the heap MEMD, with bit-identical
 	// decisions (see core.MeetingStore). Mandatory at city scale, where the
-	// dense n×n state cannot be allocated per node.
+	// dense per-node state (n history slots and n row headers per node,
+	// n² per world) cannot be allocated.
 	SparseEstimators bool
 	// MaxSparseRows caps the sparse MI store at that many rows with
 	// stale-row eviction (own row pinned); 0 = unbounded. Only meaningful
@@ -57,8 +57,9 @@ func DefaultEERConfig(lambda int) EERConfig {
 
 // eerShared is per-world state shared by all EER routers: the MEMD scratch
 // (the MD of Theorem 3 is transient, so one buffer serves every node on
-// the single simulation goroutine — an O(n²) dense matrix at figure scale,
-// a bounded-heap sparse calculator at city scale), plus freelists of
+// the single simulation goroutine — the holder's compact row and O(n)
+// Dijkstra keys at figure scale, a bounded-heap sparse calculator at city
+// scale), plus freelists of
 // per-contact state. Contacts are constant churn — every one allocated a
 // snapshot, a decision map and a MEMD vector — so recycling them removes
 // the router layer's steady-state allocations entirely.
@@ -241,13 +242,19 @@ func (r *EER) memdTo(st *eerContact, dst int) float64 {
 		return r.sparseMEMDTo(st, dst)
 	}
 	if st.memd == nil {
+		calc, mi := r.shared.memd, r.mi.(*core.MeetingMatrix)
+		var settled int
 		if r.cfg.MeanIntervalMD {
-			r.computeMeanIntervalMD(st)
+			// A2 ablation: the own row uses plain mean intervals (MEED)
+			// instead of elapsed-conditioned EMDs, so the MD matrix is the
+			// MI matrix itself.
+			settled = calc.ComputeStoreOnly(r.Self.ID, mi)
 		} else {
-			r.shared.memd.Compute(r.Self.ID, st.t0, r.hist, r.mi.(*core.MeetingMatrix))
-			st.memd = append(st.memdBuf[:0], r.shared.memd.Distances()...)
-			st.memdBuf = st.memd
+			settled = calc.Compute(r.Self.ID, st.t0, r.hist, mi)
 		}
+		r.World.Profiler().EstimatorDijkstra(settled)
+		st.memd = append(st.memdBuf[:0], calc.Distances()...)
+		st.memdBuf = st.memd
 	}
 	return st.memd[dst]
 }
@@ -258,11 +265,13 @@ func (r *EER) memdTo(st *eerContact, dst int) float64 {
 func (r *EER) sparseMEMDTo(st *eerContact, dst int) float64 {
 	if !st.memdDone {
 		calc := r.shared.smemd
+		var settled int
 		if r.cfg.MeanIntervalMD {
-			calc.ComputeStoreOnly(r.Self.ID, r.mi)
+			settled = calc.ComputeStoreOnly(r.Self.ID, r.mi)
 		} else {
-			calc.Compute(r.Self.ID, st.t0, r.hist, r.mi)
+			settled = calc.Compute(r.Self.ID, st.t0, r.hist, r.mi)
 		}
+		r.World.Profiler().EstimatorDijkstra(settled)
 		if st.memdMap == nil {
 			st.memdMap = make(map[int]float64)
 		}
@@ -273,22 +282,6 @@ func (r *EER) sparseMEMDTo(st *eerContact, dst int) float64 {
 		return d
 	}
 	return math.Inf(1)
-}
-
-// computeMeanIntervalMD is the A2 ablation: the own row uses plain mean
-// intervals (MEED) instead of elapsed-conditioned EMDs — the MD matrix is
-// the MI matrix itself, read one row at a time by Dijkstra.
-func (r *EER) computeMeanIntervalMD(st *eerContact) {
-	n := r.World.N()
-	row := make([]float64, n)
-	dist := make([]float64, n)
-	graph.DenseDijkstra(func(u int) []float64 {
-		for j := range row {
-			row[j] = r.mi.Interval(u, j)
-		}
-		return row
-	}, graph.Weights, r.Self.ID, dist, make([]int32, n+1))
-	st.memd = dist
 }
 
 // horizon returns the EEV horizon for message m decided at time t.

@@ -21,10 +21,11 @@ import (
 // adaptive byte-based estimate.
 //
 // Probability storage is polymorphic like the estimator core's
-// MeetingStore: dense n×n rows at figure scale, sparse observed-peer rows
-// (core.SparseRows) at city scale, with bit-identical routing decisions —
-// normalisation sums and divisions visit entries in ascending id order in
-// both modes, and the path costs come from Dijkstras whose distances are
+// MeetingStore: at figure scale a private dense own row plus shared,
+// immutable published cost rows; at city scale sparse observed-peer rows
+// (core.SparseRows). Routing decisions are bit-identical — normalisation
+// sums and divisions visit entries in ascending id order in both modes,
+// and the path costs come from Dijkstras whose distances are
 // storage-independent.
 type MaxProp struct {
 	Base
@@ -44,11 +45,16 @@ type MaxProp struct {
 	// probability state.
 	Gossip core.ExchangeMode
 
-	// Dense storage (nil in sparse mode).
-	probs   [][]float64 // probs[u][v]: u's meeting probability for v
-	updated []float64   // freshness per row; -1 = never
-	cost    []float64   // cached path cost to every node
-	scratch *maxPropShared
+	// Dense storage (nil in sparse mode). The own probability row is
+	// private; every published row, own included, is an immutable cost
+	// row (costRow) that exchanges share by pointer, never copy or mutate.
+	own     []float64      // own[v]: this node's meeting probability for v
+	edges   [][]graph.Edge // edges[u]: u's published Σ(1−p) cost row; nil = never published
+	updated []float64      // freshness per row; -1 = never
+	cost    []float64      // cached path cost to every node
+	// key is EdgeDijkstra scratch shared by a world's dense routers;
+	// refreshCost never runs concurrently within a world.
+	key []uint64
 	// Dense delta-gossip bookkeeping, mirroring core.MeetingMatrix's:
 	// version counts local row mutations, rowVer stamps rows with their
 	// last mutation, seen records the version at the end of the last delta
@@ -64,15 +70,8 @@ type MaxProp struct {
 	costValid bool
 }
 
-// maxPropShared is the read-only and scratch state one world's dense
-// routers share (refreshCost never runs concurrently within a world).
-type maxPropShared struct {
-	none []float64 // all zero: the probability row of "no edges"
-	next []int32   // DenseDijkstra's unvisited-list scratch
-}
-
 // NewMaxProp returns a MaxProp router; use MaxPropFactory so dense routers
-// share scratch.
+// share Dijkstra scratch.
 func NewMaxProp() *MaxProp { return &MaxProp{HopThreshold: 7} }
 
 // MaxPropFactory returns a constructor producing MaxProp routers for n
@@ -89,17 +88,13 @@ func MaxPropFactory(n int, sparse bool, maxRows int, gossip core.ExchangeMode) f
 			return r
 		}
 	}
-	shared := newMaxPropShared(n)
+	key := make([]uint64, n)
 	return func() network.Router {
 		r := NewMaxProp()
-		r.scratch = shared
+		r.key = key
 		r.Gossip = gossip
 		return r
 	}
-}
-
-func newMaxPropShared(n int) *maxPropShared {
-	return &maxPropShared{none: make([]float64, n), next: make([]int32, n+1)}
 }
 
 // Init implements network.Router.
@@ -113,19 +108,16 @@ func (r *MaxProp) Init(self *network.Node, w *network.World) {
 		}
 		r.dij = core.NewSparseDijkstra()
 	} else {
-		r.probs = make([][]float64, n)
-		flat := make([]float64, n*n)
-		for i := range r.probs {
-			r.probs[i], flat = flat[:n], flat[n:]
-		}
+		r.own = make([]float64, n)
+		r.edges = make([][]graph.Edge, n)
 		r.updated = make([]float64, n)
 		for i := range r.updated {
 			r.updated[i] = -1
 		}
 		r.rowVer = make([]uint64, n)
 		r.cost = make([]float64, n)
-		if r.scratch == nil {
-			r.scratch = newMaxPropShared(n)
+		if r.key == nil {
+			r.key = make([]uint64, n)
 		}
 	}
 	// MaxProp's drop order: prefer evicting high-cost (unlikely to be
@@ -158,7 +150,7 @@ func (r *MaxProp) Prob(v int) float64 {
 		}
 		return 0
 	}
-	return r.probs[r.Self.ID][v]
+	return r.own[v]
 }
 
 // ContactUp implements network.Router: incremental-average own vector,
@@ -181,7 +173,7 @@ func (r *MaxProp) ContactUp(t float64, peer *network.Node) {
 
 func (r *MaxProp) contactUpDense(t float64, peer *network.Node, pr *MaxProp) {
 	self := r.Self.ID
-	own := r.probs[self]
+	own := r.own
 	own[peer.ID]++
 	sum := 0.0
 	for _, p := range own {
@@ -190,6 +182,7 @@ func (r *MaxProp) contactUpDense(t float64, peer *network.Node, pr *MaxProp) {
 	for i := range own {
 		own[i] /= sum
 	}
+	r.edges[self] = costRow(own)
 	r.updated[self] = t
 	r.version++
 	r.rowVer[self] = r.version
@@ -216,26 +209,20 @@ func (r *MaxProp) contactUpDense(t float64, peer *network.Node, pr *MaxProp) {
 		st.Add(pr.floodVolume())
 	}
 	var moved core.ExchangeStats
-	for i := range r.probs {
+	for i := range r.edges {
 		if pr.updated[i] > r.updated[i] {
 			if r.Gossip == core.ExchangeDelta && pr.rowVer[i] <= bSeen {
 				continue
 			}
-			copy(r.probs[i], pr.probs[i])
-			r.updated[i] = pr.updated[i]
-			r.version++
-			r.rowVer[i] = r.version
-			moved.AddRow(positiveEntries(r.probs[i]))
+			r.takeRow(pr, i)
+			moved.AddRow(len(r.edges[i]))
 		} else if r.updated[i] > pr.updated[i] {
 			if r.Gossip == core.ExchangeDelta && r.rowVer[i] <= aSeen {
 				continue
 			}
-			copy(pr.probs[i], r.probs[i])
-			pr.updated[i] = r.updated[i]
-			pr.version++
-			pr.rowVer[i] = pr.version
+			pr.takeRow(r, i)
 			pr.costValid = false
-			moved.AddRow(positiveEntries(r.probs[i]))
+			moved.AddRow(len(r.edges[i]))
 		}
 	}
 	switch r.Gossip {
@@ -258,6 +245,35 @@ func (r *MaxProp) contactUpDense(t float64, peer *network.Node, pr *MaxProp) {
 	r.World.Metrics.EstimatorExchanged(st.Rows, st.Entries, st.Bytes, st.DigestBytes)
 }
 
+// takeRow adopts the peer's published row i — sharing it, since published
+// rows are immutable — with its freshness, and stamps the local mutation.
+func (r *MaxProp) takeRow(from *MaxProp, i int) {
+	r.edges[i] = from.edges[i]
+	r.updated[i] = from.updated[i]
+	r.version++
+	r.rowVer[i] = r.version
+}
+
+// costRow publishes a probability row as its Dijkstra edge list: each
+// positive probability p, ascending by peer, becomes an edge of weight
+// max(1−p, graph.MinProbCost). Its length is the row's positive-entry
+// count — the entries the sparse row stores and the exchange meters.
+func costRow(probs []float64) []graph.Edge {
+	n := 0
+	for _, p := range probs {
+		if p > 0 {
+			n++
+		}
+	}
+	row := make([]graph.Edge, 0, n)
+	for v, p := range probs {
+		if p > 0 {
+			row = append(row, graph.Edge{To: v, Weight: max(1-p, graph.MinProbCost)})
+		}
+	}
+	return row
+}
+
 // advertised counts and sizes the published rows mutated past the
 // watermark — the dense delta digest to one peer, each row costing a
 // varint (owner, stamp) entry.
@@ -276,22 +292,10 @@ func (r *MaxProp) floodVolume() core.ExchangeStats {
 	var st core.ExchangeStats
 	for i, u := range r.updated {
 		if u >= 0 {
-			st.AddRow(positiveEntries(r.probs[i]))
+			st.AddRow(len(r.edges[i]))
 		}
 	}
 	return st
-}
-
-// positiveEntries counts the positive probabilities of a dense row — the
-// entries its sparse counterpart stores.
-func positiveEntries(row []float64) int {
-	n := 0
-	for _, p := range row {
-		if p > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // contactUpSparse mirrors contactUpDense over sparse rows. The own-row
@@ -324,7 +328,7 @@ func (r *MaxProp) contactUpSparse(t float64, peer *network.Node, pr *MaxProp) {
 // refreshCost recomputes the Σ(1−p) Dijkstra costs from this node.
 func (r *MaxProp) refreshCost() {
 	if r.Sparse {
-		r.dij.Run(r.Self.ID, func(u int, relax func(v int, w float64)) {
+		settled := r.dij.Run(r.Self.ID, func(u int, relax func(v int, w float64)) {
 			row := r.rows.Row(u)
 			if row == nil || row.Updated < 0 {
 				return
@@ -340,19 +344,14 @@ func (r *MaxProp) refreshCost() {
 				relax(v, c)
 			})
 		})
+		r.World.Profiler().EstimatorDijkstra(settled)
 		r.costValid = true
 		return
 	}
-	// Dense: Dijkstra reads the Σ(1−p) weights straight from the
-	// probability rows as it settles them; a never-published row has no
-	// edges.
-	sh := r.scratch
-	graph.DenseDijkstra(func(u int) []float64 {
-		if r.updated[u] < 0 {
-			return sh.none
-		}
-		return r.probs[u]
-	}, graph.Probs, r.Self.ID, r.cost, sh.next)
+	// Dense: the published rows are the edge lists, weights included; a
+	// never-published row is nil, no edges.
+	settled := graph.EdgeDijkstra(func(u int) []graph.Edge { return r.edges[u] }, r.Self.ID, r.cost, r.key)
+	r.World.Profiler().EstimatorDijkstra(settled)
 	r.costValid = true
 }
 
