@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/buffer"
@@ -20,7 +21,8 @@ import (
 // is a clamped small move (so the configured MaxSpeed stays truthful);
 // in unbounded mode ops include arbitrary teleports and parking far
 // outside the arena, which models removal plus re-insertion and is the
-// worst case for incremental tracking.
+// worst case for incremental tracking. Parking at ±1e7 m puts cells
+// beyond the cell index cap, exercising the overflow cells on both paths.
 
 // fuzzPuppet is a mover whose next position the fuzz loop scripts.
 type fuzzPuppet struct {
@@ -35,6 +37,7 @@ func FuzzGridParity(f *testing.F) {
 	f.Add([]byte{12, 1, 200, 100, 50, 25, 12, 6, 3, 1, 0, 255, 128, 64, 32, 16, 8, 4, 2, 1})
 	f.Add([]byte{20, 0, 2, 250, 5, 2, 5, 250, 3, 0, 0, 3, 1, 1, 0, 40, 40, 1, 200, 200})
 	f.Add([]byte{5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 0, 7, 1, 1, 15, 1, 1, 7, 1, 1, 3, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 7, 1, 1, 7, 1, 1, 7, 1, 1, 7, 1, 1, 0, 255, 128, 0, 255, 128, 0, 255, 128, 0, 255, 128})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 5 {
 			return
@@ -89,13 +92,21 @@ func FuzzGridParity(f *testing.F) {
 				case op%4 == 2:
 					// Teleport anywhere in [-100, 100]², negative included.
 					next = geo.Point{X: signed(bx, 100.0/128), Y: signed(by, 100.0/128)}
+				case math.Abs(cur.X) >= 5000:
+					// Return from parking.
+					next = geo.Point{X: float64(i) * 3, Y: 0}
+				case op&4 == 0:
+					// Park far away (node leaves the scenario).
+					next = geo.Point{X: 9000 + float64(i)*1000, Y: -9000}
 				default:
-					// Park far away (node leaves the scenario) or return.
-					if cur.X < 5000 {
-						next = geo.Point{X: 9000 + float64(i)*1000, Y: -9000}
-					} else {
-						next = geo.Point{X: float64(i) * 3, Y: 0}
+					// Park at ±1e7 m, beyond the cell index cap: the cell
+					// lives in the overflow. Nodes parked on one side share
+					// cells, so contacts form there too.
+					sign := 1.0
+					if op&8 != 0 {
+						sign = -1
 					}
+					next = geo.Point{X: sign*1e7 + float64(i%3)*4, Y: -sign * 1e7}
 				}
 				ps[i].next = next
 				pp[i].next = next

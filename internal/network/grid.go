@@ -35,59 +35,54 @@ import (
 // (unknown bound, e.g. scripted or trace-replay movers) tracked pairs are
 // simply re-checked every tick.
 //
-// Sub-grids (sharded worlds): the grid is split into `regions` independent
-// open-addressed tables over a static spatial partition — vertical stripes
-// of gridStripeCells cells, striped round-robin across regions. A cell's
-// table depends only on its x coordinate, so region membership is a pure
-// function of position and never migrates. The sharded tick path re-buckets
-// movers that stay inside one region on one goroutine per region (all
-// mutations — removal, insertion, table growth — touch only that region's
-// table); only stripe-boundary crossings fall back to the serial merge.
-// With regions == 1 (the serial path) the exact single-table behaviour is
-// preserved. See shard.go for the phase structure and DESIGN.md for the
+// Cell index: buckets live in per-region pools, and a dense index of one
+// int32 per cell over the occupied extent maps each non-empty cell to its
+// bucket, so a 3x3 neighbourhood is nine array reads. A bucket is freed
+// the moment it empties; its backing array is kept on the pool's free list,
+// so the steady state allocates nothing. The index is allocated by the
+// first insertion (scripted worlds never bucket a node, so they allocate
+// none) and grows like a slice when a node leaves the extent. Cells whose
+// inclusion would push the extent past gridIndexMaxCells — nodes parked
+// far outside the map — live in a small hash overflow of live cells.
+//
+// Sub-grids (sharded worlds): the bucket pools are split into `regions`
+// over a static spatial partition — vertical stripes of gridStripeCells
+// cells, striped round-robin across regions. A cell's region depends only
+// on its x coordinate, so region membership is a pure function of
+// position and never migrates. The sharded tick path re-buckets movers
+// whose source and destination cells lie in one region and inside the
+// index extent on one goroutine per region: every write then touches only
+// that region's pool and its own index cells. Everything else — region
+// crossings, index growth, overflow cells — falls back to the serial
+// merge. See shard.go for the phase structure and DESIGN.md for the
 // safety argument.
 
-// gridSlot is one open-addressed bucket: the nodes currently inside one
-// grid cell, kept in ascending id order so scans are deterministic.
-// Buckets are reused across ticks: emptied buckets keep their backing
-// array and are stamped with the epoch they emptied instead of being
-// deleted (open-addressed tables cannot tombstone cheaply); stale empties
-// are dropped wholesale on the next table growth.
-type gridSlot struct {
-	key        uint64
-	used       bool
-	emptySince uint64 // epoch the bucket last became empty (diagnostics/compaction)
-	nodes      []int32
-
-	// nbr caches packed (region, slot) references of the 3x3 cell
-	// neighbourhood (-1 for cells with no bucket), valid while nbrGen
-	// matches the layout-generation sum of the regions the neighbourhood
-	// spans (gensum). Neighbourhood scans are the engine's hottest loop;
-	// the cache removes all nine hash probes from the steady state.
-	nbrGen uint64
-	nbr    [9]int64
-}
-
-// gridTable is one region's open-addressed hash table of buckets.
-type gridTable struct {
-	slots     []gridSlot
-	mask      uint32
-	used      int    // occupied (used==true) slot count, including empty buckets
-	layoutGen uint64 // bumped on growth: slot indices into this table are stale
+// gridPool is one region's bucket pool: buckets[b] holds the nodes
+// currently inside one grid cell, in ascending id order so scans are
+// deterministic. free lists the emptied buckets awaiting reuse.
+type gridPool struct {
+	buckets [][]int32
+	free    []int32
 }
 
 // cellGrid is the persistent spatial hash over node positions with cell
 // size equal to the radio range, so in-range pairs always sit in the same
-// or adjacent cells. Buckets live in per-region tables (one region when
-// serial).
+// or adjacent cells.
 type cellGrid struct {
 	cell    float64
-	regions int   // region (sub-grid table) count; 1 = unpartitioned
+	regions int   // region (bucket pool) count; 1 = unpartitioned
 	stripe  int32 // stripe width of the static partition, in cells
-	tables  []gridTable
+	pools   []gridPool
+
+	// index[(cx-x0)*h + (cy-y0)] is 1 + the bucket number of cell (cx, cy)
+	// in its region's pool, 0 when the cell is empty, for cells inside the
+	// extent [x0, x0+w) × [y0, y0+h). nil until the first insertion.
+	x0, y0, w, h int32
+	index        []int32
+	overflow     map[uint64]int32 // cells outside the extent, same encoding
 
 	cellOf    []uint64 // per node: packed cell key of the current bucket
-	slotOf    []int32  // per node: slot index of the current bucket, -1 if none
+	bucketOf  []int32  // per node: bucket number in its region's pool, -1 if none
 	prevCell  []uint64 // per node: cell key before the last cell change
 	prevValid []bool   // per node: prevCell holds a real cell (not first insertion)
 	moveEpoch []uint64 // per node: epoch of the last cell change
@@ -95,12 +90,15 @@ type cellGrid struct {
 }
 
 // gridStripeCells is the stripe width of the static spatial partition in
-// cells. It must be >= 4 so a stripe has interior cells whose whole
-// two-ring (the cells a bucket creation may read or patch) stays inside
-// one region; tests shrink it to force boundary traffic.
+// cells; tests shrink it to force boundary traffic.
 const gridStripeCells = 32
 
-const gridInitialSlots = 256
+// gridIndexMaxCells caps the dense index at 32 MiB; gridIndexMinSpan is
+// the side of the first extent and the least a growth adds to a side.
+const (
+	gridIndexMaxCells = 1 << 23
+	gridIndexMinSpan  = 32
+)
 
 func (g *cellGrid) init(cell float64, regions int) {
 	g.cell = cell
@@ -109,22 +107,14 @@ func (g *cellGrid) init(cell float64, regions int) {
 	}
 	g.regions = regions
 	g.stripe = gridStripeCells
-	g.tables = make([]gridTable, regions)
-	for r := range g.tables {
-		t := &g.tables[r]
-		t.slots = make([]gridSlot, gridInitialSlots)
-		t.mask = gridInitialSlots - 1
-		// Fresh slots carry nbrGen 0; starting the layout generation above
-		// it keeps their zeroed neighbour caches from ever reading as valid.
-		t.layoutGen = 1
-	}
+	g.pools = make([]gridPool, regions)
 }
 
 // ensure sizes the per-node bookkeeping for n nodes.
 func (g *cellGrid) ensure(n int) {
 	for len(g.cellOf) < n {
 		g.cellOf = append(g.cellOf, 0)
-		g.slotOf = append(g.slotOf, -1)
+		g.bucketOf = append(g.bucketOf, -1)
 		g.prevCell = append(g.prevCell, 0)
 		g.prevValid = append(g.prevValid, false)
 		g.moveEpoch = append(g.moveEpoch, 0)
@@ -133,6 +123,15 @@ func (g *cellGrid) ensure(n int) {
 
 func cellKeyOf(cx, cy int32) uint64 {
 	return uint64(uint32(cx))<<32 | uint64(uint32(cy))
+}
+
+func cellOfKey(key uint64) (cx, cy int32) {
+	return int32(uint32(key >> 32)), int32(uint32(key))
+}
+
+// cellAt returns the cell containing pos.
+func (g *cellGrid) cellAt(pos geo.Point) (cx, cy int32) {
+	return int32(math.Floor(pos.X / g.cell)), int32(math.Floor(pos.Y / g.cell))
 }
 
 // floorDiv32 is floored (not truncated) integer division for b > 0, so
@@ -158,107 +157,145 @@ func (g *cellGrid) regionOfCx(cx int32) int {
 	return r
 }
 
-func (g *cellGrid) regionOfKey(key uint64) int {
-	return g.regionOfCx(int32(uint32(key >> 32)))
+// inExtent reports whether cell (cx, cy) has a slot in the dense index.
+func (g *cellGrid) inExtent(cx, cy int32) bool {
+	return uint64(int64(cx)-int64(g.x0)) < uint64(g.w) && uint64(int64(cy)-int64(g.y0)) < uint64(g.h)
 }
 
-// gensum is the neighbour-cache validity stamp for a bucket in cell column
-// cx: the sum of the layout generations of the regions its 3x3
-// neighbourhood can span (columns cx-1..cx+1). Generations only grow, so
-// the sum strictly increases whenever any involved table reorganises,
-// invalidating exactly the caches whose stored slot indices could have
-// moved.
-func (g *cellGrid) gensum(cx int32) uint64 {
-	if g.regions == 1 {
-		return 3 * g.tables[0].layoutGen
+// ref returns 1 + the bucket number of cell (cx, cy), 0 when it is empty.
+func (g *cellGrid) ref(cx, cy int32) int32 {
+	if g.inExtent(cx, cy) {
+		return g.index[int(cx-g.x0)*int(g.h)+int(cy-g.y0)]
 	}
-	return g.tables[g.regionOfCx(cx-1)].layoutGen +
-		g.tables[g.regionOfCx(cx)].layoutGen +
-		g.tables[g.regionOfCx(cx+1)].layoutGen
+	if len(g.overflow) == 0 {
+		return 0
+	}
+	return g.overflow[cellKeyOf(cx, cy)]
 }
 
-// packSlot packs a (region, slot) bucket reference into one int64 cache
-// entry; -1 marks "no bucket".
-func packSlot(region int, slot int32) int64 {
-	return int64(region)<<32 | int64(uint32(slot))
+// setRef records cell (cx, cy)'s bucket reference (0 = empty). A cell
+// outside the extent first tries to grow it; cells beyond the cap go to
+// the overflow.
+func (g *cellGrid) setRef(cx, cy int32, ref int32) {
+	if !g.inExtent(cx, cy) && ref != 0 {
+		g.grow(cx, cy)
+	}
+	if g.inExtent(cx, cy) {
+		g.index[int(cx-g.x0)*int(g.h)+int(cy-g.y0)] = ref
+		return
+	}
+	if ref == 0 {
+		delete(g.overflow, cellKeyOf(cx, cy))
+		return
+	}
+	if g.overflow == nil {
+		g.overflow = make(map[uint64]int32)
+	}
+	g.overflow[cellKeyOf(cx, cy)] = ref
 }
 
-// hash64 is the splitmix64 finaliser; cell keys are sequential in each
-// coordinate, so they need real mixing before masking.
-func hash64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// findSlot returns the slot index for key, probing linearly from its hash.
-// If absent it returns the first free slot (not yet marked used).
-func (t *gridTable) findSlot(key uint64) int32 {
-	i := uint32(hash64(key)) & t.mask
-	for {
-		s := &t.slots[i]
-		if !s.used || s.key == key {
-			return int32(i)
+// grow widens the extent to cover cell (cx, cy). Each side that must move
+// moves by at least half the current span, so a sweeping node costs
+// amortised O(1) copies per cell; the padding shrinks as the extent nears
+// gridIndexMaxCells. A cell that does not fit even unpadded is left to
+// the overflow, unless no live cell is indexed: then the extent moves to
+// it. Overflow cells the new extent covers move into it.
+func (g *cellGrid) grow(cx, cy int32) {
+	fits := func(x0, x1, y0, y1 int64) bool {
+		return (x1-x0)*(y1-y0) <= gridIndexMaxCells &&
+			x0 >= math.MinInt32 && x1 <= math.MaxInt32 && y0 >= math.MinInt32 && y1 <= math.MaxInt32
+	}
+	old, ox0, oy0, ow, oh := g.index, int64(g.x0), int64(g.y0), int64(g.w), int64(g.h)
+	x0, x1, y0, y1 := int64(cx), int64(cx)+1, int64(cy), int64(cy)+1
+	if old != nil {
+		x0, x1 = min(x0, ox0), max(x1, ox0+ow)
+		y0, y1 = min(y0, oy0), max(y1, oy0+oh)
+	}
+	if !fits(x0, x1, y0, y1) {
+		x0, x1, y0, y1 = int64(cx), int64(cx)+1, int64(cy), int64(cy)+1
+		// The bucket being placed is allocated but not yet counted in
+		// the overflow.
+		if old == nil || g.liveBuckets() > len(g.overflow)+1 || !fits(x0, x1, y0, y1) {
+			return
 		}
-		i = (i + 1) & t.mask
+		old, ow, oh = nil, 0, 0
+	}
+	padX, padY := max(ow/2, gridIndexMinSpan), max(oh/2, gridIndexMinSpan)
+	for ; ; padX, padY = padX/2, padY/2 {
+		nx0, nx1, ny0, ny1 := x0, x1, y0, y1
+		if old == nil || nx0 < ox0 {
+			nx0 -= padX
+		}
+		if old == nil || nx1 > ox0+ow {
+			nx1 += padX
+		}
+		if old == nil || ny0 < oy0 {
+			ny0 -= padY
+		}
+		if old == nil || ny1 > oy0+oh {
+			ny1 += padY
+		}
+		// The unpadded box fits, so this terminates.
+		if fits(nx0, nx1, ny0, ny1) {
+			x0, x1, y0, y1 = nx0, nx1, ny0, ny1
+			break
+		}
+	}
+	g.x0, g.y0, g.w, g.h = int32(x0), int32(y0), int32(x1-x0), int32(y1-y0)
+	g.index = make([]int32, int(g.w)*int(g.h))
+	for c := int64(0); c < ow; c++ {
+		dst := int(ox0+c-x0)*int(g.h) + int(oy0-y0)
+		copy(g.index[dst:dst+int(oh)], old[c*oh:(c+1)*oh])
+	}
+	for key, ref := range g.overflow {
+		if ocx, ocy := cellOfKey(key); g.inExtent(ocx, ocy) {
+			g.index[int(ocx-g.x0)*int(g.h)+int(ocy-g.y0)] = ref
+			delete(g.overflow, key)
+		}
 	}
 }
 
-// grow doubles the table and re-inserts every bucket. Buckets that have
-// sat empty for more than one wheel revolution are reclaimed — their epoch
-// stamp proves no node has been near them recently — while freshly-emptied
-// ones are kept so cells on active routes are not churned. Node slot
-// indices are rebuilt and every neighbour cache referencing this table is
-// invalidated via the layout generation (all mutations stay within this
-// region: nodes bucketed here have their current cell here by definition).
-func (t *gridTable) grow(g *cellGrid) {
-	old := t.slots
-	t.slots = make([]gridSlot, len(old)*2)
-	t.mask = uint32(len(t.slots) - 1)
-	t.used = 0
-	t.layoutGen++
-	for i := range old {
-		s := &old[i]
-		if !s.used {
-			continue
-		}
-		if len(s.nodes) == 0 && g.epoch > s.emptySince+wheelSize {
-			continue
-		}
-		j := t.findSlot(s.key)
-		t.slots[j] = gridSlot{key: s.key, used: true, emptySince: s.emptySince, nodes: s.nodes}
-		t.used++
-		for _, id := range s.nodes {
-			g.slotOf[id] = j
-		}
+// liveBuckets counts the allocated, not yet freed, buckets: one per
+// occupied cell.
+func (g *cellGrid) liveBuckets() int {
+	n := 0
+	for _, p := range g.pools {
+		n += len(p.buckets) - len(p.free)
 	}
+	return n
 }
 
-// patchNeighborCaches splices freshly-created bucket j (region r) for cell
-// key into the still-valid neighbour caches around it, so a bucket
-// creation does not invalidate every cache in the table.
-func (g *cellGrid) patchNeighborCaches(r int, j int32, key uint64) {
-	cx := int32(uint32(key >> 32))
-	cy := int32(uint32(key))
-	for dx := int32(-1); dx <= 1; dx++ {
-		ncx := cx + dx
-		nr := g.regionOfCx(ncx)
-		nt := &g.tables[nr]
-		for dy := int32(-1); dy <= 1; dy++ {
-			if dx == 0 && dy == 0 {
-				continue
+// cellNodes returns the nodes bucketed in cell (cx, cy), nil if none.
+func (g *cellGrid) cellNodes(cx, cy int32) []int32 {
+	ref := g.ref(cx, cy)
+	if ref == 0 {
+		return nil
+	}
+	return g.pools[g.regionOfCx(cx)].buckets[ref-1]
+}
+
+// neighborhood fills nb with the buckets of the 3x3 cells around
+// (cx, cy), nil for empty cells; nb[k] is the cell at offset
+// (k/3-1, k%3-1). A neighbourhood inside the extent is three runs of
+// three adjacent index cells.
+func (g *cellGrid) neighborhood(cx, cy int32, nb *[9][]int32) {
+	if !g.inExtent(cx-1, cy-1) || !g.inExtent(cx+1, cy+1) {
+		for k := range nb {
+			nb[k] = g.cellNodes(cx+int32(k/3)-1, cy+int32(k%3)-1)
+		}
+		return
+	}
+	base := int(cx-1-g.x0)*int(g.h) + int(cy-1-g.y0)
+	for dx := 0; dx < 3; dx++ {
+		buckets := g.pools[g.regionOfCx(cx+int32(dx)-1)].buckets
+		col := g.index[base : base+3]
+		for dy, ref := range col {
+			nb[dx*3+dy] = nil
+			if ref != 0 {
+				nb[dx*3+dy] = buckets[ref-1]
 			}
-			ni := nt.findSlot(cellKeyOf(ncx, cy+dy))
-			ns := &nt.slots[ni]
-			if !ns.used || ns.nbrGen != g.gensum(ncx) {
-				continue
-			}
-			// The neighbour sees the new cell at the inverse offset.
-			ns.nbr[(1-dx)*3+(1-dy)] = packSlot(r, j)
 		}
+		base += int(g.h)
 	}
 }
 
@@ -267,13 +304,12 @@ func (g *cellGrid) patchNeighborCaches(r int, j int32, key uint64) {
 // goroutine per region for movers rebucketParallelSafe vouched for, and
 // serially for everything else.
 func (g *cellGrid) update(i int32, pos geo.Point) bool {
-	cx := int32(math.Floor(pos.X / g.cell))
-	cy := int32(math.Floor(pos.Y / g.cell))
+	cx, cy := g.cellAt(pos)
 	key := cellKeyOf(cx, cy)
-	if g.slotOf[i] >= 0 && g.cellOf[i] == key {
+	if g.bucketOf[i] >= 0 && g.cellOf[i] == key {
 		return false
 	}
-	if g.slotOf[i] >= 0 {
+	if g.bucketOf[i] >= 0 {
 		g.prevCell[i] = g.cellOf[i]
 		g.prevValid[i] = true
 		g.removeFromBucket(i)
@@ -281,132 +317,68 @@ func (g *cellGrid) update(i int32, pos geo.Point) bool {
 		g.prevValid[i] = false
 	}
 	g.moveEpoch[i] = g.epoch
-	r := g.regionOfCx(cx)
-	t := &g.tables[r]
-	j := t.findSlot(key)
-	s := &t.slots[j]
-	if !s.used {
-		s.used = true
-		s.key = key
-		t.used++
-		g.patchNeighborCaches(r, j, key)
+	pool := &g.pools[g.regionOfCx(cx)]
+	ref := g.ref(cx, cy)
+	if ref == 0 {
+		if n := len(pool.free); n > 0 {
+			ref = pool.free[n-1] + 1
+			pool.free = pool.free[:n-1]
+		} else {
+			pool.buckets = append(pool.buckets, nil)
+			ref = int32(len(pool.buckets))
+		}
+		g.setRef(cx, cy, ref)
 	}
 	// Insert keeping ascending id order (buckets are small).
-	s.nodes = append(s.nodes, i)
-	for k := len(s.nodes) - 1; k > 0 && s.nodes[k-1] > i; k-- {
-		s.nodes[k], s.nodes[k-1] = s.nodes[k-1], s.nodes[k]
+	s := append(pool.buckets[ref-1], i)
+	for k := len(s) - 1; k > 0 && s[k-1] > i; k-- {
+		s[k], s[k-1] = s[k-1], s[k]
 	}
+	pool.buckets[ref-1] = s
 	g.cellOf[i] = key
-	g.slotOf[i] = j
-	if t.used*4 > len(t.slots)*3 {
-		t.grow(g)
-	}
+	g.bucketOf[i] = ref - 1
 	return true
 }
 
 // rebucketParallelSafe reports whether re-bucketing node i into cell
-// (cx, key) mutates only that cell's own region, so the sharded tick may
-// run it on the region's goroutine. It must hold until the re-bucket
-// executes, given that only region goroutines (region-local mutations) run
-// in between. True when the node stays in one region and either
-//
-//   - the destination column is interior to its stripe with a 2-column
-//     margin, so a bucket creation's cache patching (columns cx±1) and the
-//     gensum reads it performs (columns cx±2) stay inside the region, or
-//   - the destination bucket already exists and is non-empty, so no
-//     creation happens (non-empty this tick means grow cannot reclaim it
-//     before the re-bucket runs: reclaim needs a whole wheel revolution of
-//     emptiness).
-//
-// It only reads the grid; the sharded phase that calls it runs no mutator.
-func (g *cellGrid) rebucketParallelSafe(i int32, cx int32, key uint64) bool {
+// (cx, cy) touches only that cell's region: its bucket pool and its own
+// index cells. That holds when the source cell (if any) and the
+// destination cell lie in the same region and inside the index extent, so
+// neither growth nor the overflow is involved. Only region goroutines,
+// which never move the extent, run between this check and the re-bucket.
+func (g *cellGrid) rebucketParallelSafe(i int32, cx, cy int32) bool {
 	if g.regions == 1 {
 		return true
 	}
-	r := g.regionOfCx(cx)
-	if g.slotOf[i] >= 0 && g.regionOfKey(g.cellOf[i]) != r {
+	if !g.inExtent(cx, cy) {
 		return false
 	}
-	m := cx % g.stripe
-	if m < 0 {
-		m += g.stripe
-	}
-	if m >= 2 && m <= g.stripe-3 {
+	if g.bucketOf[i] < 0 {
 		return true
 	}
-	t := &g.tables[r]
-	s := &t.slots[t.findSlot(key)]
-	return s.used && len(s.nodes) > 0
+	scx, scy := cellOfKey(g.cellOf[i])
+	return g.inExtent(scx, scy) && g.regionOfCx(scx) == g.regionOfCx(cx)
 }
 
 // removeFromBucket takes node i out of its current bucket, preserving
-// order.
+// order, and frees the bucket if it emptied.
 func (g *cellGrid) removeFromBucket(i int32) {
-	t := &g.tables[g.regionOfKey(g.cellOf[i])]
-	s := &t.slots[g.slotOf[i]]
-	for k, id := range s.nodes {
+	cx, cy := cellOfKey(g.cellOf[i])
+	pool := &g.pools[g.regionOfCx(cx)]
+	b := g.bucketOf[i]
+	s := pool.buckets[b]
+	for k, id := range s {
 		if id == i {
-			s.nodes = append(s.nodes[:k], s.nodes[k+1:]...)
+			s = append(s[:k], s[k+1:]...)
 			break
 		}
 	}
-	if len(s.nodes) == 0 {
-		s.emptySince = g.epoch
+	pool.buckets[b] = s
+	if len(s) == 0 {
+		g.setRef(cx, cy, 0)
+		pool.free = append(pool.free, b)
 	}
-	g.slotOf[i] = -1
-}
-
-// neighborSlots returns the cached 3x3 neighbour bucket references (-1
-// where no bucket exists) of node i's bucket, recomputing the cache when
-// any involved table's layout changed. Index k maps to offset
-// (k/3-1, k%3-1). The sharded path calls it from the goroutine owning the
-// bucket's region (the only writer of its cache) while no table mutates;
-// the cross-region probes are plain reads.
-func (g *cellGrid) neighborSlots(i int32) *[9]int64 {
-	key := g.cellOf[i]
-	cx := int32(uint32(key >> 32))
-	cy := int32(uint32(key))
-	s := &g.tables[g.regionOfCx(cx)].slots[g.slotOf[i]]
-	gen := g.gensum(cx)
-	if s.nbrGen != gen {
-		k := 0
-		for dx := int32(-1); dx <= 1; dx++ {
-			ncx := cx + dx
-			nr := g.regionOfCx(ncx)
-			nt := &g.tables[nr]
-			for dy := int32(-1); dy <= 1; dy++ {
-				j := nt.findSlot(cellKeyOf(ncx, cy+dy))
-				p := int64(-1)
-				if nt.slots[j].used {
-					p = packSlot(nr, j)
-				}
-				s.nbr[k] = p
-				k++
-			}
-		}
-		s.nbrGen = gen
-	}
-	return &s.nbr
-}
-
-// neighborsCached returns the 3x3 neighbour bucket references of node i's
-// bucket, requiring the cache to be warm already. Shard workers use it
-// concurrently: unlike neighborSlots it never writes, so concurrent scans
-// of one bucket are race-free. The cache-warming phase covers every moved
-// node's bucket (the only buckets scanned) before workers run.
-func (g *cellGrid) neighborsCached(i int32) *[9]int64 {
-	key := g.cellOf[i]
-	cx := int32(uint32(key >> 32))
-	s := &g.tables[g.regionOfCx(cx)].slots[g.slotOf[i]]
-	if s.nbrGen != g.gensum(cx) {
-		panic("network: neighborsCached on a stale neighbour cache")
-	}
-	return &s.nbr
-}
-
-// bucket returns the node list of a packed (region, slot) reference.
-func (g *cellGrid) bucket(p int64) []int32 {
-	return g.tables[p>>32].slots[uint32(p)].nodes
+	g.bucketOf[i] = -1
 }
 
 // --- pair re-check scheduler ---

@@ -195,9 +195,11 @@ func TestPairSetModes(t *testing.T) {
 	}
 }
 
-// TestGridGrowthAndReclaim drives one node across thousands of cells so
-// the slot table grows and reclaims long-empty buckets, with a second
-// pinned pair proving contacts survive table reorganisation.
+// TestGridGrowthAndReclaim drives one node across 800 fresh cells, so the
+// cell index grows through many extents until the sweeper leaves the
+// capped extent for the overflow, with a pinned pair proving contacts
+// survive every growth. Emptied buckets are freed at once: at every tick
+// the grid holds exactly the occupied cells' buckets.
 func TestGridGrowthAndReclaim(t *testing.T) {
 	runner := sim.NewRunner(1)
 	w := New(Config{Range: 10, Bandwidth: 1000}, runner)
@@ -209,13 +211,104 @@ func TestGridGrowthAndReclaim(t *testing.T) {
 	w.AddNode(fixed(3, 3), buffer.New(0, nil), &probe{})
 	w.AddNode(fixed(6, 3), buffer.New(0, nil), &probe{})
 	w.Start()
+	g := &w.grid
+	growths := 0
+	w0, h0 := g.w, g.h
 	for tick := 1; tick <= 800; tick++ {
 		runner.Run(float64(tick))
 		if len(w.linkList) != 1 {
 			t.Fatalf("tick %d: pinned contact lost during grid growth (links=%d)", tick, len(w.linkList))
 		}
+		// The pinned pair shares one cell; the sweeper holds another.
+		if live := g.liveBuckets(); live != 2 {
+			t.Fatalf("tick %d: %d live buckets, want 2", tick, live)
+		}
+		if g.w != w0 || g.h != h0 {
+			growths++
+			w0, h0 = g.w, g.h
+		}
 	}
-	if len(w.grid.tables[0].slots) <= 256 {
-		t.Fatalf("table never grew: %d slots", len(w.grid.tables[0].slots))
+	if growths < 10 {
+		t.Fatalf("index extent grew %d times, want >= 10", growths)
+	}
+	if int(g.w)*int(g.h) > gridIndexMaxCells {
+		t.Fatalf("index extent %dx%d exceeds the %d-cell cap", g.w, g.h, gridIndexMaxCells)
+	}
+	if len(g.overflow) != 1 {
+		t.Fatalf("overflow holds %d cells, want the sweeper's one", len(g.overflow))
+	}
+	occupied := len(g.overflow)
+	for _, ref := range g.index {
+		if ref != 0 {
+			occupied++
+		}
+	}
+	if occupied != 2 {
+		t.Fatalf("cell index and overflow map %d cells, want 2", occupied)
+	}
+}
+
+// TestGridOverflowRoundTrip parks nodes far beyond the index cap and
+// brings them back: far cells live in the overflow while occupied,
+// contacts there are still detected, and the overflow empties again. The
+// first bucketed node starts parked, so the extent is first anchored far
+// away and must move to the arena once nothing live is indexed there.
+func TestGridOverflowRoundTrip(t *testing.T) {
+	runner := sim.NewRunner(1)
+	w := New(Config{Range: 10, Bandwidth: 1000}, runner)
+	park := geo.Point{X: 1e7, Y: -1e7}
+	mover := func(home geo.Point, parked func(tick float64) bool) *scriptMover {
+		return &scriptMover{at: func(tt float64) geo.Point {
+			if parked(tt) {
+				return geo.Point{X: park.X + home.X, Y: park.Y}
+			}
+			return home
+		}}
+	}
+	// Node 0 anchors the extent at the parking spot, then returns to a
+	// cell of its own; nodes 1 and 2 park together later.
+	w.AddNode(mover(geo.Point{X: 25}, func(tt float64) bool { return tt <= 5 }), buffer.New(0, nil), &probe{})
+	later := func(tt float64) bool { return tt > 10 && tt <= 20 }
+	w.AddNode(mover(geo.Point{}, later), buffer.New(0, nil), &probe{})
+	w.AddNode(mover(geo.Point{X: 5}, later), buffer.New(0, nil), &probe{})
+	w.Start()
+	for tick := 1; tick <= 30; tick++ {
+		runner.Run(float64(tick))
+		comparePairSets(t, tick, bruteForcePairs(w), linkPairs(w))
+		// Ticks 1-5: the arena cell (nodes 1, 2) is the far one; 11-20:
+		// the parked pair's cell is.
+		wantOverflow := 0
+		if tick <= 5 || tick > 10 && tick <= 20 {
+			wantOverflow = 1
+		}
+		if len(w.grid.overflow) != wantOverflow {
+			t.Fatalf("tick %d: overflow holds %d cells, want %d", tick, len(w.grid.overflow), wantOverflow)
+		}
+		if tick > 5 && !w.grid.inExtent(0, 0) {
+			t.Fatalf("tick %d: the extent did not move to the arena", tick)
+		}
+	}
+	if int(w.grid.w)*int(w.grid.h) > 9*gridIndexMinSpan*gridIndexMinSpan {
+		t.Fatalf("parked nodes stretched the index to %dx%d", w.grid.w, w.grid.h)
+	}
+}
+
+// TestReplayWorldAllocatesNoCellIndex pins that a scripted (trace-replay)
+// world never buckets a node, so it allocates neither the cell index nor
+// any bucket.
+func TestReplayWorldAllocatesNoCellIndex(t *testing.T) {
+	runner := sim.NewRunner(1)
+	w := New(Config{Range: 10, Bandwidth: 1000}, runner)
+	for i := 0; i < 4; i++ {
+		w.AddNode(fixed(float64(i)*5, 0), buffer.New(0, nil), &probe{})
+	}
+	w.SetContactScript([]ScriptEvent{{Tick: 2, Up: true, A: 0, B: 1}, {Tick: 5, Up: false, A: 0, B: 1}})
+	w.Start()
+	runner.Run(10)
+	if w.Metrics.Summary().Contacts != 1 {
+		t.Fatalf("replay fired %d contacts, want 1", w.Metrics.Summary().Contacts)
+	}
+	if w.grid.index != nil || w.grid.overflow != nil || w.grid.liveBuckets() != 0 || w.grid.cellOf != nil {
+		t.Fatal("scripted world allocated broad-phase state")
 	}
 }

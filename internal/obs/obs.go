@@ -14,8 +14,9 @@
 //
 //   - EngineProf / Timing: per-tick phase breakdown for the simulation
 //     engine (serial, sharded and scripted tick paths), per-shard busy
-//     time for imbalance detection, routing-exchange timing, and the
-//     estimator Dijkstra run and settled-vertex counts.
+//     time for imbalance detection, routing-exchange timing, the
+//     estimator Dijkstra run and settled-vertex counts, and the grid
+//     cell-change count.
 //   - Histogram: a fixed-bucket atomic histogram for the service layer
 //     (HTTP request duration, queue wait), rendered by the daemon in
 //     Prometheus text format.
@@ -90,6 +91,7 @@ type EngineProf struct {
 	exchCount  atomic.Int64
 	dijRuns    atomic.Int64   // estimator Dijkstra runs (MEMD, MaxProp cost)
 	dijSettled atomic.Int64   // vertices those runs settled
+	cellMoves  atomic.Int64   // grid cell changes (re-bucketed nodes)
 	shardBusy  []atomic.Int64 // per-shard worker busy nanos (sharded mode)
 }
 
@@ -147,6 +149,17 @@ func (p *EngineProf) EstimatorDijkstra(settled int) {
 	p.dijSettled.Add(int64(settled))
 }
 
+// CellChanges counts n grid cell changes — nodes the broad phase
+// re-bucketed and rescanned this tick. Against the rebucket and scan
+// phase times it tells whether their cost is driven by how often nodes
+// change cell or by what each change costs.
+func (p *EngineProf) CellChanges(n int) {
+	if p == nil {
+		return
+	}
+	p.cellMoves.Add(int64(n))
+}
+
 // EnsureShards sizes the per-shard busy table. Called once at world
 // construction; not safe concurrently with AddShardBusy.
 func (p *EngineProf) EnsureShards(n int) {
@@ -190,6 +203,7 @@ func (p *EngineProf) Timing() *Timing {
 	t.ExchangeCount = p.exchCount.Load()
 	t.DijkstraRuns = p.dijRuns.Load()
 	t.DijkstraSettled = p.dijSettled.Load()
+	t.CellChanges = p.cellMoves.Load()
 	if len(p.shardBusy) > 0 {
 		t.ShardBusySeconds = make([]float64, len(p.shardBusy))
 		for i := range p.shardBusy {
@@ -236,6 +250,10 @@ type Timing struct {
 	DijkstraRuns    int64 `json:"dijkstra_runs,omitempty"`
 	DijkstraSettled int64 `json:"dijkstra_settled,omitempty"`
 
+	// CellChanges counts the grid cell changes of live (non-replayed)
+	// runs: the events the rebucket and scan phases pay for.
+	CellChanges int64 `json:"cell_changes,omitempty"`
+
 	// ShardBusySeconds is per-shard worker busy time (sharded runs
 	// only) — the imbalance lens: max/mean > ~1.2 means uneven shards.
 	ShardBusySeconds []float64 `json:"shard_busy_seconds,omitempty"`
@@ -261,6 +279,7 @@ func MergeTiming(a, b *Timing) *Timing {
 		out.ExchangeCount += t.ExchangeCount
 		out.DijkstraRuns += t.DijkstraRuns
 		out.DijkstraSettled += t.DijkstraSettled
+		out.CellChanges += t.CellChanges
 		for _, ph := range t.Phases {
 			idx := -1
 			for i := range out.Phases {
@@ -334,6 +353,11 @@ func (t *Timing) Report(w io.Writer) {
 	if t.DijkstraRuns > 0 {
 		fmt.Fprintf(w, "  estimator dijkstra: %d runs, %d settled vertices (%.1f per run)\n",
 			t.DijkstraRuns, t.DijkstraSettled, float64(t.DijkstraSettled)/float64(t.DijkstraRuns))
+	}
+	if t.CellChanges > 0 {
+		perChange := func(name string) float64 { return t.PhaseSeconds(name) * 1e9 / float64(t.CellChanges) }
+		fmt.Fprintf(w, "  cell changes: %d (rebucket %.0f ns, scan %.0f ns per change)\n",
+			t.CellChanges, perChange("rebucket"), perChange("scan"))
 	}
 	if n := len(t.ShardBusySeconds); n > 0 {
 		var sum, max float64

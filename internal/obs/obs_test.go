@@ -22,6 +22,7 @@ func TestNilProfilerIsSafe(t *testing.T) {
 	p.EnsureShards(4)
 	p.AddShardBusy(0, 100)
 	p.EstimatorDijkstra(10)
+	p.CellChanges(3)
 	if p.Timing() != nil {
 		t.Fatal("nil Timing() should be nil")
 	}
@@ -62,6 +63,8 @@ func TestProfilerAccumulatesAndSnapshots(t *testing.T) {
 	p.AddShardBusy(7, 1e6) // out of range: dropped
 	p.EstimatorDijkstra(120)
 	p.EstimatorDijkstra(5)
+	p.CellChanges(40)
+	p.CellChanges(2)
 
 	tm := p.Timing()
 	if tm.Runs != 1 || tm.Ticks != 3 {
@@ -78,6 +81,9 @@ func TestProfilerAccumulatesAndSnapshots(t *testing.T) {
 	}
 	if tm.DijkstraRuns != 2 || tm.DijkstraSettled != 125 {
 		t.Fatalf("estimator dijkstra = %d runs / %d settled, want 2 / 125", tm.DijkstraRuns, tm.DijkstraSettled)
+	}
+	if tm.CellChanges != 42 {
+		t.Fatalf("cell changes = %d, want 42", tm.CellChanges)
 	}
 	if len(tm.ShardBusySeconds) != 2 || tm.ShardBusySeconds[0] < tm.ShardBusySeconds[1] {
 		t.Fatalf("shard busy = %v", tm.ShardBusySeconds)
@@ -98,11 +104,11 @@ func TestMergeTiming(t *testing.T) {
 	a := &Timing{Runs: 1, Ticks: 10, Seconds: 2, Replayed: 1,
 		Phases:          []PhaseTiming{{Phase: "mobility", Seconds: 2, Count: 10}},
 		ExchangeSeconds: 0.5, ExchangeCount: 4, ShardBusySeconds: []float64{1, 2},
-		DijkstraRuns: 7, DijkstraSettled: 300}
+		DijkstraRuns: 7, DijkstraSettled: 300, CellChanges: 1000}
 	b := &Timing{Runs: 2, Ticks: 5, Seconds: 1,
 		Phases:          []PhaseTiming{{Phase: "mobility", Seconds: 0.5, Count: 5}, {Phase: "scan", Seconds: 0.5, Count: 5}},
 		ExchangeSeconds: 0.25, ExchangeCount: 2, ShardBusySeconds: []float64{1, 1, 1},
-		DijkstraRuns: 3, DijkstraSettled: 60}
+		DijkstraRuns: 3, DijkstraSettled: 60, CellChanges: 24}
 	m := MergeTiming(a, b)
 	if m.Runs != 3 || m.Ticks != 15 || m.Seconds != 3 || m.Replayed != 1 {
 		t.Fatalf("merged header = %+v", m)
@@ -115,6 +121,9 @@ func TestMergeTiming(t *testing.T) {
 	}
 	if m.DijkstraRuns != 10 || m.DijkstraSettled != 360 {
 		t.Fatalf("merged estimator dijkstra = %d runs / %d settled, want 10 / 360", m.DijkstraRuns, m.DijkstraSettled)
+	}
+	if m.CellChanges != 1024 {
+		t.Fatalf("merged cell changes = %d, want 1024", m.CellChanges)
 	}
 	want := []float64{2, 3, 1}
 	for i, s := range m.ShardBusySeconds {
@@ -134,17 +143,20 @@ func TestReport(t *testing.T) {
 	tm := &Timing{Runs: 2, Ticks: 100, Seconds: 1.5,
 		Phases: []PhaseTiming{
 			{Phase: "mobility", Seconds: 1.0, Count: 100},
+			{Phase: "rebucket", Seconds: 0.02, Count: 100},
 			{Phase: "scan", Seconds: 0.5, Count: 100},
 			{Phase: "merge"}, // zero: omitted from the table
 		},
 		ExchangeSeconds: 0.1, ExchangeCount: 42,
 		ShardBusySeconds: []float64{0.7, 0.5},
-		DijkstraRuns:     4, DijkstraSettled: 250}
+		DijkstraRuns:     4, DijkstraSettled: 250,
+		CellChanges: 10000}
 	var sb strings.Builder
 	tm.Report(&sb)
 	out := sb.String()
 	for _, want := range []string{"mobility", "scan", "66.7%", "routing exchange", "imbalance",
-		"estimator dijkstra: 4 runs, 250 settled vertices (62.5 per run)"} {
+		"estimator dijkstra: 4 runs, 250 settled vertices (62.5 per run)",
+		"cell changes: 10000 (rebucket 2000 ns, scan 50000 ns per change)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
@@ -155,11 +167,11 @@ func TestReport(t *testing.T) {
 	if strings.Contains(out, "replayed") {
 		t.Fatalf("report of live runs mentions replay:\n%s", out)
 	}
-	tm.DijkstraRuns, tm.DijkstraSettled = 0, 0
+	tm.DijkstraRuns, tm.DijkstraSettled, tm.CellChanges = 0, 0, 0
 	var db strings.Builder
 	tm.Report(&db)
-	if strings.Contains(db.String(), "dijkstra") {
-		t.Fatalf("report without estimator runs mentions dijkstra:\n%s", db.String())
+	if strings.Contains(db.String(), "dijkstra") || strings.Contains(db.String(), "cell changes") {
+		t.Fatalf("report without estimator runs or cell changes mentions them:\n%s", db.String())
 	}
 	tm.Replayed = 1
 	var rb strings.Builder

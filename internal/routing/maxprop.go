@@ -67,7 +67,12 @@ type MaxProp struct {
 	rows *core.SparseRows
 	dij  *core.SparseDijkstra // per-router: its dist map doubles as the cost cache
 
-	costValid bool
+	// costValid: the cached costs match the published rows. costWanted:
+	// a transmission order has asked for costs since the rows last
+	// changed. The order computes them lazily, in the comparison that
+	// reads them, and the drop policy ranks by cost only when costWanted
+	// holds — the cases in which an eagerly refreshed cache would be valid.
+	costValid, costWanted bool
 }
 
 // NewMaxProp returns a MaxProp router; use MaxPropFactory so dense routers
@@ -127,8 +132,8 @@ func (r *MaxProp) Init(self *network.Node, w *network.World) {
 		best, bestScore := 0, math.Inf(-1)
 		for i, c := range copies {
 			score := float64(c.Hops)
-			if r.costValid {
-				if pc := r.pathCost(c.M.To); !math.IsInf(pc, 1) {
+			if r.costWanted {
+				if pc := r.Cost(c.M.To); !math.IsInf(pc, 1) {
 					score = 1e6 * pc
 				}
 			}
@@ -186,7 +191,7 @@ func (r *MaxProp) contactUpDense(t float64, peer *network.Node, pr *MaxProp) {
 	r.updated[self] = t
 	r.version++
 	r.rowVer[self] = r.version
-	r.costValid = false
+	r.rowsChanged()
 	if pr == nil {
 		return
 	}
@@ -221,7 +226,7 @@ func (r *MaxProp) contactUpDense(t float64, peer *network.Node, pr *MaxProp) {
 				continue
 			}
 			pr.takeRow(r, i)
-			pr.costValid = false
+			pr.rowsChanged()
 			moved.AddRow(len(r.edges[i]))
 		}
 	}
@@ -309,7 +314,7 @@ func (r *MaxProp) contactUpSparse(t float64, peer *network.Node, pr *MaxProp) {
 	own.Div(own.Sum())
 	own.Updated = t
 	r.rows.Touch(own)
-	r.costValid = false
+	r.rowsChanged()
 	if pr == nil {
 		return
 	}
@@ -320,7 +325,7 @@ func (r *MaxProp) contactUpSparse(t float64, peer *network.Node, pr *MaxProp) {
 	// costs at most a recompute of identical values.
 	st := core.SyncRowsMode(r.rows, pr.rows, r.Self.ID, peer.ID, r.Gossip)
 	if st.Rows > 0 {
-		pr.costValid = false
+		pr.rowsChanged()
 	}
 	r.World.Metrics.EstimatorExchanged(st.Rows, st.Entries, st.Bytes, st.DigestBytes)
 }
@@ -355,6 +360,12 @@ func (r *MaxProp) refreshCost() {
 	r.costValid = true
 }
 
+// rowsChanged drops the cost cache after a change of the published rows.
+func (r *MaxProp) rowsChanged() {
+	r.costValid = false
+	r.costWanted = false
+}
+
 // pathCost returns the cached cost to dst; +Inf when unreached. Callers
 // must have refreshed the cache (costValid).
 func (r *MaxProp) pathCost(dst int) float64 {
@@ -369,6 +380,7 @@ func (r *MaxProp) pathCost(dst int) float64 {
 
 // Cost returns the current path cost estimate to dst.
 func (r *MaxProp) Cost(dst int) float64 {
+	r.costWanted = true
 	if !r.costValid {
 		r.refreshCost()
 	}
@@ -385,9 +397,7 @@ func (r *MaxProp) NextTransfer(t float64, peer *network.Node) *network.Plan {
 	if len(cands) == 0 {
 		return nil
 	}
-	if !r.costValid {
-		r.refreshCost()
-	}
+	r.costWanted = true
 	sort.SliceStable(cands, func(i, j int) bool {
 		a, b := cands[i], cands[j]
 		aLow, bLow := a.Hops < r.HopThreshold, b.Hops < r.HopThreshold
@@ -400,7 +410,9 @@ func (r *MaxProp) NextTransfer(t float64, peer *network.Node) *network.Plan {
 			}
 			return a.M.ID < b.M.ID
 		}
-		ca, cb := r.pathCost(a.M.To), r.pathCost(b.M.To)
+		// Only copies past the hop threshold are ranked by cost, so most
+		// orders never run the Dijkstra.
+		ca, cb := r.Cost(a.M.To), r.Cost(b.M.To)
 		if ca != cb {
 			return ca < cb
 		}

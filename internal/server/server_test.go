@@ -37,6 +37,16 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Registered after t.TempDir, so it runs before the cache directory is
+	// removed: a job still queued when the test returns (a probe's fresh
+	// submission, say) finishes its writes first.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Error(err)
+		}
+	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
