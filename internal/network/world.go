@@ -254,10 +254,9 @@ func (w *World) Tick(t float64) {
 	for _, n := range w.nodes {
 		n.pos = n.Mover.Step(dt)
 	}
-	w.prof.Lap(obs.PhaseMobility, st)
-	w.updateContacts(t)
+	st = w.prof.Lap(obs.PhaseMobility, st)
+	st = w.updateContacts(t, st)
 	if w.tickCount%uint64(w.cfg.ExpirySweepEvery) == 0 {
-		st = w.prof.Start()
 		w.sweepExpired(t)
 		w.prof.Lap(obs.PhaseExpiry, st)
 	}
@@ -268,15 +267,17 @@ func (w *World) Tick(t float64) {
 // nodes are re-bucketed and their neighbourhoods rescanned, then exactly
 // the pairs whose parked re-check is due are distance-tested. The
 // resulting contact set is identical to a naive all-pairs sweep every
-// tick (grid_test.go proves it), at a fraction of the work.
-func (w *World) updateContacts(t float64) {
+// tick (grid_test.go proves it), at a fraction of the work. st is the
+// profiler lap that ended just before (the mobility phase's), so each
+// phase boundary costs one clock read; the returned lap ends the contacts
+// phase.
+func (w *World) updateContacts(t float64, st int64) int64 {
 	tick := w.tickCount
 	w.grid.epoch = tick
 
 	// Phase 1: re-bucket nodes whose cell changed and track every
 	// untracked pair in their new 3x3 neighbourhood for an immediate
 	// check. Node order keeps runs deterministic.
-	st := w.prof.Start()
 	moved := w.movedBuf[:0]
 	for i, n := range w.nodes {
 		if w.grid.update(int32(i), n.pos) {
@@ -339,7 +340,7 @@ func (w *World) updateContacts(t float64) {
 	w.linkList = keep
 	st = w.prof.Lap(obs.PhaseLinks, st)
 	w.establishNewContacts(newPairs, t)
-	w.prof.Lap(obs.PhaseContacts, st)
+	return w.prof.Lap(obs.PhaseContacts, st)
 }
 
 // establishNewContacts fires contactUp for every pair in ascending pair

@@ -4,14 +4,19 @@ package server
 // out: the cached fast path serving stale seed counts, and submissions
 // or sweep cells coalescing onto a job that already reached a terminal
 // state (the window between j.finish/j.fail and runJob's deferred
-// removal from s.active).
+// removal from s.active), or queueing a second simulation after the job
+// left s.active (the window between a submission's store probe and its
+// critical section).
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/metrics"
@@ -208,5 +213,72 @@ func TestSweepCellRefusesTerminalCoalesce(t *testing.T) {
 	}
 	if got := s.Simulated(); got != 2 { // the two fresh testSweep cells only
 		t.Errorf("Simulated = %d, want 2", got)
+	}
+}
+
+// TestSubmitRechecksStoreAfterJobEnds freezes the other side of the
+// terminal window: a submission probes the store and misses, then the
+// in-flight job persists its result and leaves s.active before the
+// submission takes s.mu. The submission must be served that result from
+// the store, not queue a second simulation of the same content address.
+func TestSubmitRechecksStoreAfterJobEnds(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	j, spec := fabricateJob(t, s, testSpec)
+	canon, err := spec.CanonicalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Hold s.mu so the submission blocks right after its store probe.
+	s.mu.Lock()
+	type reply struct {
+		sub  submitResponse
+		code int
+		err  error
+	}
+	done := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(testSpec))
+		if err != nil {
+			done <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		var r reply
+		r.code = resp.StatusCode
+		r.err = json.NewDecoder(resp.Body).Decode(&r.sub)
+		done <- r
+	}()
+	for deadline := time.Now().Add(10 * time.Second); s.store.Stats().Misses == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			s.mu.Unlock()
+			t.Fatal("submission never probed the store")
+		}
+	}
+	// The job ends as runJob would: persist, publish, then jobDone's
+	// bookkeeping (inline: s.mu is held here, and fabricateJob already
+	// settled the queue depth and wait group).
+	res := &Result{Key: j.key, CanonicalSpec: canon, Seeds: spec.SeedList(), PerSeed: make([]metrics.Summary, len(spec.SeedList()))}
+	if err := s.store.Put(res); err != nil {
+		s.mu.Unlock()
+		t.Fatal(err)
+	}
+	j.finish(res, nil, nil)
+	delete(s.active, j.key)
+	s.ended.Add(1)
+	s.mu.Unlock()
+
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.code != http.StatusOK || !r.sub.Cached || r.sub.Result == nil || len(r.sub.Result.PerSeed) != len(spec.SeedList()) {
+		t.Fatalf("submission after the job ended was not served from the store: code=%d %+v", r.code, r.sub)
+	}
+	s.mu.Lock()
+	requeued := s.active[j.key] != nil
+	s.mu.Unlock()
+	if requeued {
+		t.Fatal("submission queued a second job for a persisted result")
 	}
 }

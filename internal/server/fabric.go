@@ -310,7 +310,11 @@ func (f *fleet) runRemote(w *fleetWorker, j *job) error {
 		j.fail(err)
 		return nil
 	}
-	sctx, scancel := context.WithTimeout(j.ctx, 30*time.Second)
+	// The submit outlives a cancel of j: once the worker has accepted the
+	// job, only its reply names the remote id that a cancel must DELETE.
+	// A cancel that lands meanwhile fails followStream's request at once,
+	// which propagates it.
+	sctx, scancel := context.WithTimeout(context.WithoutCancel(j.ctx), 30*time.Second)
 	resp, err := f.do(sctx, http.MethodPost, w.url+"/v1/jobs", body)
 	scancel()
 	if err != nil {

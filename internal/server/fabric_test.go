@@ -9,11 +9,15 @@ package server
 // (Simulated(), store stats), never the process-wide experiment atomics.
 
 import (
+	"context"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
+	"sync"
 	"testing"
 	"time"
 )
@@ -350,6 +354,84 @@ func TestFabricClusterCancel(t *testing.T) {
 	if w.srv.Simulated() != 0 {
 		t.Errorf("worker completed %d simulations of a cancelled sweep", w.srv.Simulated())
 	}
+}
+
+// TestFabricCancelDuringSubmit freezes the dispatch window in which the
+// worker has accepted and started a job but its reply, which carries
+// the remote job id, has not reached the coordinator. A cancel landing
+// there must still reach the worker once the reply arrives: the worker
+// may not run the cancelled job to completion.
+func TestFabricCancelDuringSubmit(t *testing.T) {
+	w := startWorker(t, Config{})
+	// A proxy in front of the worker that forwards POST /v1/jobs at once
+	// but holds the reply until release is closed.
+	target, err := url.Parse(w.url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := httputil.NewSingleHostReverseProxy(target)
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	proxy := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/v1/jobs" {
+			rp.ServeHTTP(rw, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		rp.ServeHTTP(rec, r.WithContext(context.WithoutCancel(r.Context())))
+		<-release
+		for k, v := range rec.Header() {
+			rw.Header()[k] = v
+		}
+		rw.WriteHeader(rec.Code)
+		rw.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(proxy.Close)
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) }) // runs first
+	_, ts := newCoordinator(t, Config{WorkerInflight: 1}, proxy.URL)
+
+	sub, code := postSpec(t, ts, longSpec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d: %+v", code, sub)
+	}
+	workerJobs := func() (running, live int) {
+		var jl jobListResponse
+		getJSON(t, w.url+"/v1/jobs", &jl)
+		for _, row := range jl.Jobs {
+			if row.Status == string(stateRunning) {
+				running++
+			}
+			if !terminalState(jobState(row.Status)) {
+				live++
+			}
+		}
+		return running, live
+	}
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if running, _ := workerJobs(); running > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the job never ran on the worker")
+		}
+	}
+	if code, body := del(t, ts.URL+"/v1/jobs/"+sub.JobID); code != http.StatusAccepted {
+		t.Fatalf("cancel status %d: %s", code, body)
+	}
+	releaseOnce.Do(func() { close(release) })
+
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, live := workerJobs(); live == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("worker job still live after the cancel")
+		}
+	}
+	if got := w.srv.Simulated(); got != 0 {
+		t.Errorf("worker completed %d simulations of a cancelled job", got)
+	}
+	waitState(t, ts, sub.JobID, stateCancelled)
 }
 
 // postSpecURL / waitDoneURL mirror postSpec/waitDone against a raw base

@@ -181,6 +181,14 @@ type Server struct {
 	m         serverCounters // /metrics state (see metrics.go)
 	log       *slog.Logger
 
+	// ended counts jobs whose bookkeeping jobDone released, bumped under
+	// mu after the job persisted its result. A submission loads it before
+	// its unlocked store probe; if it moved by the time the submission
+	// holds mu, a job for the same key may have written the store and
+	// left s.active in between, so recheckStoreLocked reads the store
+	// again before a duplicate simulation is queued.
+	ended atomic.Int64
+
 	// Latency histogram families served by /metrics (see metrics.go).
 	httpDur   [len(respClasses)]*obs.Histogram // request duration by response class
 	queueWait *obs.Histogram                   // accepted -> permit acquired
@@ -397,6 +405,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.m.submissions.Add(1)
+	ended := s.ended.Load()
 	// Content-addressed fast path: an identical resolved job was already
 	// computed — serve the summary from disk, no simulation. The entry
 	// must carry one summary per requested seed: a stale entry written
@@ -450,6 +459,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// failed (or done with a nil result, which cannot happen): fall
 		// through and queue a fresh job.
 	}
+	if _, raw, ok := s.recheckStoreLocked(ended, key, len(spec.SeedList())); ok {
+		s.mu.Unlock()
+		s.m.submitHits.Add(1)
+		s.log.Debug("job cache hit", "key", key)
+		writeCachedResult(w, "", key, raw)
+		return
+	}
 	if s.queued >= s.cfg.MaxQueuedJobs {
 		s.mu.Unlock()
 		s.m.submitRejected.Add(1)
@@ -491,6 +507,23 @@ func (s *Server) newJobLocked(key string, spec experiment.ScenarioSpec) *job {
 	return j
 }
 
+// recheckStoreLocked closes the gap between a submission's unlocked
+// store probe and its s.mu critical section (s.mu must be held): when a
+// job ended since the probe (s.ended moved past ended), the job may have
+// persisted key's result and left s.active in between, so the local store
+// is read again and an entry carrying nseeds summaries is returned. The
+// local tier suffices — both executors persist there before jobDone — and
+// a recheck never waits on a remote peer while holding s.mu.
+func (s *Server) recheckStoreLocked(ended int64, key string, nseeds int) (*Result, []byte, bool) {
+	if s.ended.Load() == ended {
+		return nil, nil, false
+	}
+	if res, raw, ok := s.store.GetRawLocal(key); ok && len(res.PerSeed) == nseeds {
+		return res, raw, true
+	}
+	return nil, nil, false
+}
+
 // jobDone releases a terminal job's server bookkeeping — the one
 // completion path shared by the local executor (runJob) and the fleet
 // dispatcher, called exactly once per accepted job, after the job
@@ -504,6 +537,7 @@ func (s *Server) jobDone(j *job) {
 		delete(s.active, j.key)
 	}
 	s.queued--
+	s.ended.Add(1)
 	// Retention: keep the most recent finished jobs addressable by id
 	// (status/stream replay), dropping the oldest beyond the ring so a
 	// long-lived daemon's per-job state is bounded. Their results stay

@@ -372,6 +372,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 
 	// Cache pass, before any lock: cells the store already holds never
 	// touch the queue.
+	ended := s.ended.Load()
 	refs := make([]sweepCellRef, len(cells))
 	allCached := true
 	for i, c := range cells {
@@ -385,6 +386,18 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	s.markTraceGroups(refs)
 
 	s.mu.Lock()
+	// A cell whose job finished between the cache pass and the lock has
+	// left s.active but persisted its result first: read it from the
+	// store instead of queueing the cell again.
+	if !allCached && s.ended.Load() != ended {
+		allCached = true
+		for i := range refs {
+			if c := refs[i].cell; refs[i].cached == nil && s.active[c.Key] == nil {
+				refs[i].cached, _, _ = s.recheckStoreLocked(ended, c.Key, len(c.Spec.SeedList()))
+			}
+			allCached = allCached && refs[i].cached != nil
+		}
+	}
 	// A fully-cached sweep needs no simulation and no queue slot, so —
 	// like handleSubmit's cached fast path — it is served even while
 	// draining.
